@@ -32,16 +32,10 @@ from .illumination import (
     gain_prefactor,
     hypothesis_covariances,
     per_mode_count_stats,
+    receiver_stats,
     snr_csh_closed_form,
     snr_qi_closed_form,
     splitter_folded_count_stats,
-)
-from .fock import (
-    TruncatedDensityMatrix,
-    build_oracle_state,
-    log_negativity,
-    oracle_count_stats,
-    receiver_count_moments,
 )
 from .montecarlo import (
     ErrorProbabilityEstimate,
@@ -51,3 +45,11 @@ from .montecarlo import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # qillum.fock needs scipy: import it on first use
+    if name in ("TruncatedDensityMatrix", "build_oracle_state", "log_negativity",
+                "oracle_count_stats", "receiver_count_moments"):
+        from . import fock
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

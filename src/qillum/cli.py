@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, illumination, montecarlo
+from . import illumination, montecarlo
 from .gaussian import (
     GainSpec,
     amplify_mode,
@@ -161,16 +161,26 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _sweep_point(base: illumination.ScenarioParams, name: str, value):
-    kwargs = dict(n_s=base.n_s, n_b=base.n_b, kappa=base.kappa,
+def _sweep_rows(base: illumination.ScenarioParams, name: str,
+                values: np.ndarray) -> list[dict]:
+    """Sweep rows for ``name`` over ``values``: one array-valued scenario,
+    validated up front and evaluated in one call per quantity."""
+    fields = dict(n_s=base.n_s, n_b=base.n_b, kappa=base.kappa,
                   gain=base.gain, modes=base.modes)
     if name == "gain_db":
-        kwargs["gain"] = GainSpec.from_db(float(value))
+        fields["gain"] = GainSpec.from_db(values)
     elif name == "modes":
-        kwargs["modes"] = max(1, int(round(float(value))))
+        fields["modes"] = values = np.array([max(1, int(round(v))) for v in values.tolist()])
     else:
-        kwargs[name] = float(value)
-    return illumination.ScenarioParams(**kwargs)
+        fields[name] = values
+    p = illumination.ScenarioParams(**fields)
+    regime = illumination.classify_regime(p)
+    columns = np.broadcast_arrays(
+        values, illumination.snr_qi_closed_form(p), illumination.snr_csh_closed_form(p),
+        regime.ratio, illumination.detection_report(p).p_error, regime.regime)
+    keys = ("value", "snr_qi", "snr_csh", "ratio", "p_error")
+    return [dict(zip(keys, row), regime=row[-1].value)
+            for row in zip(*(c.tolist() for c in columns))]
 
 
 def _cmd_sweep(args) -> int:
@@ -180,20 +190,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    base = _params_from_args(args)
-    rows = []
-    for value in spec.values():
-        p = _sweep_point(base, spec.parameter, value)
-        regime = illumination.classify_regime(p)
-        rows.append({
-            "value": p.modes if spec.parameter == "modes" else float(value),
-            "snr_qi": illumination.snr_qi_closed_form(p),
-            "snr_csh": illumination.snr_csh_closed_form(p),
-            "ratio": regime.ratio,
-            "p_error": illumination.detection_report(p).p_error,
-            "regime": regime.regime.value,
-        })
-    _emit(rows, args)
+    _emit(_sweep_rows(_params_from_args(args), spec.parameter, spec.values()), args)
     return 0
 
 
@@ -206,18 +203,11 @@ def _cmd_figure(args) -> int:
                 "prefactor": illumination.gain_prefactor(GainSpec.from_db(gain_db)),
             })
     else:  # snr-ratio: amplified-idler vs homodyne benchmark curve
-        gain = GainSpec.from_db(15.0)
-        for n_s in np.geomspace(1e-2, 1e8, args.points):
-            p = illumination.ScenarioParams(n_s=float(n_s), n_b=100.0, kappa=1e-3,
-                                            gain=gain, modes=1)
-            qi = illumination.snr_qi_closed_form(p)
-            csh = illumination.snr_csh_closed_form(p)
-            rows.append({
-                "n_s": float(n_s),
-                "snr_qi": qi,
-                "snr_csh": csh,
-                "ratio": qi / csh,
-            })
+        base = illumination.ScenarioParams(n_s=1e-2, n_b=100.0, kappa=1e-3,
+                                           gain=GainSpec.from_db(15.0), modes=1)
+        for row in _sweep_rows(base, "n_s", np.geomspace(1e-2, 1e8, args.points)):
+            rows.append({"n_s": row["value"], "snr_qi": row["snr_qi"],
+                         "snr_csh": row["snr_csh"], "ratio": row["ratio"]})
     _emit(rows, args)
     return 0
 
@@ -239,6 +229,8 @@ def _cmd_ppt(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import fock  # the oracle needs scipy; keep it off the other commands
+
     p = _params_from_args(args)
     row = {
         "n_s": p.n_s, "n_b": p.n_b, "kappa": p.kappa,

@@ -160,7 +160,9 @@ def squeeze_operator(r: float, dim_out: int, dim_in: int | None = None) -> np.nd
     return squeeze_exponential(r, work)[:dim_out, :dim_in]
 
 
-@lru_cache(maxsize=None)
+# Bounded because theta changes with every kappa.  One dim-60 oracle state
+# touches 187 sectors at pi/4 and 139 at its theta, well under the bound.
+@lru_cache(maxsize=512)
 def _bs_sector_unitary(n_total: int, theta: float) -> np.ndarray:
     """Beam-splitter unitary restricted to the n_total-photon sector.
 

@@ -62,6 +62,14 @@ _BALANCED_BS = np.array(
 _PT_MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
+def _require(ok, value, message: str) -> None:
+    """Raise ``message`` naming the first element of ``value`` where ``ok`` fails."""
+    bad = ~np.asarray(ok)
+    if bad.any():
+        raise ValueError(message.format(np.ravel(value).tolist()[np.argmax(bad)]
+                                        if bad.ndim else value))
+
+
 def _abs_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
     """All four |eigenvalues| of i*Omega*V, ascending."""
     eigs = np.linalg.eigvals(1j * SYMPLECTIC_FORM @ matrix)
@@ -135,20 +143,21 @@ class TwoModeCovariance:
 @dataclass(frozen=True)
 class GainSpec:
     """Phase-sensitive amplifier gain; ``linear`` multiplies the amplified
-    quadrature amplitude, so the dB value is 20*log10(linear)."""
+    quadrature amplitude, so the dB value is 20*log10(linear); it may be
+    an array of gains."""
 
     linear: float
 
     def __post_init__(self):
-        if not math.isfinite(self.linear) or self.linear < 1.0:
-            raise ValueError(f"gain must be finite and >= 1, got {self.linear}")
+        _require(np.isfinite(self.linear) & (np.asarray(self.linear) >= 1.0), self.linear,
+                 "gain must be finite and >= 1, got {}")
 
     @property
     def db(self) -> float:
         return 20.0 * math.log10(self.linear)
 
     @classmethod
-    def from_db(cls, gain_db: float) -> "GainSpec":
+    def from_db(cls, gain_db) -> "GainSpec":
         return cls(10.0 ** (gain_db / 20.0))
 
 

@@ -4,7 +4,9 @@ Builds the hypothesis-conditioned covariance matrices (target absent or
 present), turns them into photon-count-difference statistics at the
 balanced-splitter receiver, and produces decision thresholds, error
 probabilities, closed-form signal-to-noise ratios and the coherent-state
-homodyne benchmark.
+homodyne benchmark.  Count statistics come from the closed form
+:func:`receiver_stats`; the covariance route is the derivation it is
+checked against.  Everything broadcasts, so array fields make a sweep.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .gaussian import (
     GainSpec,
     TwoModeCovariance,
+    _require,
     amplify_mode,
     apply_target_channel,
     tmsv_covariance,
@@ -31,6 +36,7 @@ __all__ = [
     "hypothesis_covariances",
     "count_difference_stats",
     "splitter_folded_count_stats",
+    "receiver_stats",
     "per_mode_count_stats",
     "detection_report",
     "gain_prefactor",
@@ -51,7 +57,8 @@ class ScenarioParams:
     ``n_s``: signal brightness per mode; ``n_b``: background brightness;
     ``kappa``: target reflectance; ``gain``: idler amplifier gain;
     ``modes``: number of signal-idler mode pairs integrated by the
-    receiver.
+    receiver.  Fields may be arrays (integer for ``modes``) that
+    broadcast together; validation names the first bad element.
     """
 
     n_s: float
@@ -61,14 +68,17 @@ class ScenarioParams:
     modes: int
 
     def __post_init__(self):
-        if not math.isfinite(self.n_s) or self.n_s < 0:
-            raise ValueError(f"signal brightness must be finite and >= 0, got {self.n_s}")
-        if not math.isfinite(self.n_b) or self.n_b < 0:
-            raise ValueError(f"background brightness must be finite and >= 0, got {self.n_b}")
-        if not (0.0 <= self.kappa < 1.0):
-            raise ValueError(f"reflectance must lie in [0, 1), got {self.kappa}")
-        if not isinstance(self.modes, int) or self.modes < 1:
-            raise ValueError(f"mode count must be a positive integer, got {self.modes}")
+        n_s, n_b, kappa = map(np.asarray, (self.n_s, self.n_b, self.kappa))
+        _require(np.isfinite(n_s) & (n_s >= 0), self.n_s,
+                 "signal brightness must be finite and >= 0, got {}")
+        _require(np.isfinite(n_b) & (n_b >= 0), self.n_b,
+                 "background brightness must be finite and >= 0, got {}")
+        _require((0.0 <= kappa) & (kappa < 1.0), self.kappa,
+                 "reflectance must lie in [0, 1), got {}")
+        # per element: counts past 2**63 arrive as an object array of ints
+        modes_ok = [isinstance(m, int) and m >= 1 for m in np.ravel(self.modes).tolist()]
+        _require(np.reshape(modes_ok, np.shape(self.modes)), self.modes,
+                 "mode count must be a positive integer, got {}")
 
     @property
     def clt_reliable(self) -> bool:
@@ -107,10 +117,19 @@ class RegimeReport:
     ratio: float
 
 
+def _item(x):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+#: math.erfc per element, which keeps scipy off the import path.
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def _symbols(p: ScenarioParams) -> tuple[float, float, float, float]:
     """The recurring combinations (nu, c, omega, gamma)."""
     nu = 2.0 * p.n_s + 1.0
-    c = 2.0 * math.sqrt(p.n_s * (p.n_s + 1.0))
+    c = 2.0 * np.sqrt(p.n_s * (p.n_s + 1.0))
     omega = 2.0 * p.n_b + 1.0
     gamma = 2.0 * p.kappa * p.n_s + omega
     return nu, c, omega, gamma
@@ -189,10 +208,32 @@ def splitter_folded_count_stats(state: TwoModeCovariance) -> CountStats:
     return CountStats(mean=float(2.0 * picc.real), variance=float(max(variance, 0.0)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # detection_report rejects inf/nan
+def receiver_stats(n_s, n_b, kappa, gain):
+    """Per-mode-pair (mu0, var0, mu1, var1) of N+ - N- under (H0, H1), for
+    linear gain G, broadcast over arrays: the closed form of
+    ``splitter_folded_count_stats(hypothesis_covariances(p))``.  n2 and n1
+    are the idler and received (H1) photon numbers.  Every sum adds
+    non-negative terms and G - 1/G is formed as (G - 1)(G + 1)/G, so nothing
+    cancels anywhere in the parameter range.
+    """
+    n_s, n_b, kappa, g = (np.asarray(v, dtype=float) for v in (n_s, n_b, kappa, gain))
+    nu = 2.0 * n_s + 1.0
+    c = 2.0 * np.sqrt(n_s * (n_s + 1.0))
+    g_minus = (g - 1.0) * (g + 1.0) / g
+    n2 = (nu * g_minus**2 + 4.0 * n_s) / 4.0
+    n1 = kappa * n_s + n_b
+    picc = np.sqrt(kappa) * c * g_minus / 4.0
+    pscc = np.sqrt(kappa) * c * (g + 1.0 / g) / 4.0
+    var0 = 2.0 * n_b * n2 + n_b + n2
+    var1 = 2.0 * picc**2 + 2.0 * pscc**2 + 2.0 * n1 * n2 + n1 + n2
+    return np.broadcast_arrays(np.zeros_like(var0), var0, 2.0 * picc, var1)
+
+
 def per_mode_count_stats(p: ScenarioParams) -> tuple[CountStats, CountStats]:
     """Receiver count-difference statistics under (H0, H1), per mode pair."""
-    v0, v1 = hypothesis_covariances(p)
-    return splitter_folded_count_stats(v0), splitter_folded_count_stats(v1)
+    mu0, var0, mu1, var1 = map(_item, receiver_stats(p.n_s, p.n_b, p.kappa, p.gain.linear))
+    return CountStats(mean=mu0, variance=var0), CountStats(mean=mu1, variance=var1)
 
 
 def detection_report(p: ScenarioParams) -> DetectionReport:
@@ -210,18 +251,21 @@ def detection_report(p: ScenarioParams) -> DetectionReport:
     corrections (-1/2) are dropped from both variances; the two
     conventions differ by that factor of 2 and both are reported.
     """
-    s0, s1 = per_mode_count_stats(p)
-    sd0, sd1 = math.sqrt(s0.variance), math.sqrt(s1.variance)
-    if sd0 + sd1 == 0.0:
+    mu0, var0, mu1, var1 = receiver_stats(p.n_s, p.n_b, p.kappa, p.gain.linear)
+    sd0, sd1 = np.sqrt(var0), np.sqrt(var1)
+    if np.any(sd0 + sd1 == 0.0):
         raise ValueError("both hypotheses are noiseless; threshold undefined")
-    delta = s1.mean - s0.mean
-    threshold = p.modes * (s0.mean * sd1 + s1.mean * sd0) / (sd0 + sd1)
-    p_error = 0.5 * math.erfc(math.sqrt(p.modes / 2.0) * delta / (sd0 + sd1))
+    if not np.all(np.isfinite(sd1)):
+        raise ValueError("count statistics overflow float64 at this brightness")
+    delta = mu1 - mu0
+    modes = np.asarray(p.modes, dtype=float)
+    threshold = modes * (mu0 * sd1 + mu1 * sd0) / (sd0 + sd1)
+    p_error = 0.5 * _erfc(np.sqrt(modes / 2.0) * delta / (sd0 + sd1))
     return DetectionReport(
-        threshold=float(threshold),
-        p_error=p_error,
+        threshold=_item(threshold),
+        p_error=_item(p_error),
         snr_closed_form=snr_qi_closed_form(p),
-        snr_first_principles=float(delta**2 / (2.0 * (sd0 + sd1) ** 2)),
+        snr_first_principles=_item(delta**2 / (2.0 * (sd0 + sd1) ** 2)),
     )
 
 
@@ -234,12 +278,13 @@ def gain_prefactor(gain: GainSpec) -> float:
     return (g - 1.0 / g) ** 2 / (g**2 + g**-2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def snr_qi_closed_form(p: ScenarioParams) -> float:
     """Single-mode-pair SNR of the amplified-idler receiver (closed form)."""
     nu, c, omega, gamma = _symbols(p)
     kc2 = p.kappa * c**2
-    denom = (math.sqrt(gamma * nu + kc2) + math.sqrt(nu * omega)) ** 2
-    return gain_prefactor(p.gain) * kc2 / denom
+    denom = (np.sqrt(gamma * nu + kc2) + np.sqrt(nu * omega)) ** 2
+    return _item(gain_prefactor(p.gain) * kc2 / denom)
 
 
 def snr_csh_closed_form(p: ScenarioParams) -> float:
@@ -256,11 +301,12 @@ def classify_regime(p: ScenarioParams) -> RegimeReport:
     """
     qi = snr_qi_closed_form(p)
     csh = snr_csh_closed_form(p)
-    ratio = qi / csh if csh > 0.0 else math.nan
-    if p.n_s < 1.0:
-        regime = Regime.QUANTUM_ADVANTAGE
-    elif p.kappa > 0.0 and p.n_s > p.n_b / p.kappa:
-        regime = Regime.DISADVANTAGE
-    else:
-        regime = Regime.PARITY
-    return RegimeReport(regime=regime, ratio=ratio)
+    n_s, n_b, kappa = (np.asarray(v, dtype=float) for v in (p.n_s, p.n_b, p.kappa))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.asarray(csh) > 0.0, np.divide(qi, csh), math.nan)
+        regime = np.select(
+            [n_s < 1.0, (kappa > 0.0) & (n_s > n_b / kappa)],
+            [Regime.QUANTUM_ADVANTAGE, Regime.DISADVANTAGE],
+            Regime.PARITY,
+        )
+    return RegimeReport(regime=_item(regime), ratio=_item(ratio))

@@ -1,8 +1,32 @@
+import csv
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qillum
 from qillum.cli import SweepSpec, main
+from qillum.gaussian import GainSpec
+from qillum.illumination import ScenarioParams, detection_report
+
+#: One grid per sweepable parameter, around the default scenario.
+PINNED_SWEEPS = [
+    ["--ns", "0.01", "--param", "n_s", "--from", "1e-3", "--to", "1e3",
+     "--points", "200", "--spacing", "log"],
+    ["--ns", "0.1", "--param", "n_b", "--from", "0.01", "--to", "1e4",
+     "--points", "200", "--spacing", "log"],
+    ["--ns", "0.1", "--param", "kappa", "--from", "0", "--to", "0.999", "--points", "200"],
+    ["--ns", "0.1", "--param", "gain_db", "--from", "0", "--to", "30", "--points", "301"],
+    ["--ns", "0.1", "--param", "modes", "--from", "1", "--to", "1e8",
+     "--points", "200", "--spacing", "log"],
+    # counts past 2**63 stay Python ints, as in a per-point evaluation
+    ["--ns", "0.1", "--param", "modes", "--from", "1", "--to", "1e20",
+     "--points", "41", "--spacing", "log"],
+]
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +118,60 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", PINNED_SWEEPS)
+    def test_rows_equal_per_point_evaluation(self, capsys, argv):
+        # value, snr_csh and regime carry the per-point arithmetic bit for bit
+        code, out, _ = run_cli(capsys, "sweep", *argv)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        flags = dict(zip(argv[::2], argv[1::2]))
+        spec = SweepSpec(flags["--param"], float(flags["--from"]), float(flags["--to"]),
+                         int(flags["--points"]), flags.get("--spacing", "linear"))
+        assert len(rows) == spec.points
+        for row, value in zip(rows, spec.values().tolist()):
+            point = dict(n_s=float(flags["--ns"]), n_b=100.0, kappa=1e-3, g=10.0 ** 0.75,
+                         modes=100)
+            if spec.parameter == "gain_db":
+                point["g"] = 10.0 ** (value / 20.0)
+            elif spec.parameter == "modes":
+                value = point["modes"] = max(1, int(round(value)))
+            else:
+                point[spec.parameter] = value
+            n_s, n_b, kappa = point["n_s"], point["n_b"], point["kappa"]
+            csh = kappa * n_s / (4.0 * n_b + 2.0)
+            if n_s < 1.0:
+                regime = "QUANTUM_ADVANTAGE"
+            elif kappa > 0.0 and n_s > n_b / kappa:
+                regime = "DISADVANTAGE"
+            else:
+                regime = "PARITY"
+            assert (row["value"], row["snr_csh"], row["regime"]) == (
+                repr(value) if spec.parameter != "modes" else str(value), repr(csh), regime)
+            report = detection_report(ScenarioParams(
+                n_s=n_s, n_b=n_b, kappa=kappa, gain=GainSpec(point["g"]), modes=point["modes"]))
+            if spec.parameter == "gain_db":  # numpy's pow may round G apart from Python's
+                assert float(row["p_error"]) == pytest.approx(report.p_error, rel=1e-13)
+            else:
+                assert float(row["p_error"]) == report.p_error
+            assert float(row["snr_qi"]) == pytest.approx(report.snr_closed_form, rel=1e-13)
+            if csh > 0.0:
+                assert float(row["ratio"]) == pytest.approx(report.snr_closed_form / csh,
+                                                            rel=1e-13)
+            else:
+                assert row["ratio"] == "nan"
+
+    @pytest.mark.parametrize("param,start,stop,message", [
+        ("n_s", "1", "-1", "signal brightness must be finite and >= 0, got -0.5"),
+        ("n_b", "1", "-1", "background brightness must be finite and >= 0, got -0.5"),
+        ("kappa", "0.5", "1.5", "reflectance must lie in [0, 1), got 1.0"),
+        ("gain_db", "3", "-3", "gain must be finite and >= 1, got 0.8413951416451951"),
+        ("n_s", "nan", "1", "signal brightness must be finite and >= 0, got nan"),
+    ])
+    def test_invalid_grid_names_the_first_bad_point(self, capsys, param, start, stop, message):
+        code, out, err = run_cli(capsys, "sweep", "--ns", "0.1", "--param", param,
+                                 "--from", start, "--to", stop, "--points", "5")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_sweep_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(parameter="bogus", start=1.0, stop=2.0, points=5, spacing="linear")
@@ -136,6 +214,51 @@ class TestPpt:
         code, out, _ = run_cli(capsys, "ppt", "--ns", "0", "--gain", "1")
         assert code == 0
         assert json.loads(out)["verdict"] == "SEPARABLE"
+
+
+class TestBrightInputs:
+    def test_readme_sweep_to_1e8(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--ns", "0.01", "--param", "n_s",
+                               "--from", "1e-3", "--to", "1e8", "--points", "100",
+                               "--spacing", "log")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 100
+        assert all(math.isfinite(float(x)) for row in rows for x in row[:5])
+
+    def test_report_at_1e9_photons_and_30_db(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--ns", "1e9", "--gain-db", "30")
+        assert code == 0
+        payload = json.loads(out)
+        numbers = [v for v in payload.values() if isinstance(v, float)]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+        assert 0.0 <= payload["p_error"] <= 0.5
+
+    def test_simulate_at_ns_g2_1e6(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--ns", "1e4", "--gain", "10",
+                               "--nb", "100", "--kappa", "1e-4", "--modes", "100",
+                               "--trials", "20000", "--seed", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
+        spread = abs(payload["p_error_empirical"] - payload["p_error_analytic"])
+        assert spread <= 5.0 * payload["std_error"]
+
+
+class TestImportPath:
+    def test_cli_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(qillum.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        code = ("import qillum, qillum.cli, sys; assert 'scipy' not in sys.modules; "
+                "assert callable(qillum.receiver_count_moments)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            qillum.no_such_name  # noqa: B018
 
 
 class TestValidate:
@@ -186,6 +309,11 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "report", "--ns", "-1")
         assert code == 1
         assert "error:" in err
+
+    def test_float64_overflow_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "report", "--ns", "1e200")
+        assert (code, out) == (1, "")
+        assert err == "error: count statistics overflow float64 at this brightness\n"
 
     def test_attenuating_gain_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "report", "--ns", "1", "--gain", "0.5")
