@@ -1,20 +1,18 @@
-"""Cross-checking the Gaussian pipeline against brute force.
+"""Cross-checking the closed-form receiver statistics against brute force.
 
-The covariance-matrix pipeline computes photon-count statistics from
-Gaussian moment factorization; closed forms are only as trustworthy as
+Every command reports photon-count statistics from one closed form,
+derived by Gaussian moment factorization; it is only as trustworthy as
 that factorization.  The number-basis oracle rebuilds the same receiver
 state explicitly -- Schmidt amplitudes, a matrix-exponential squeezer, a
 traced-out thermal ancilla -- and takes plain operator traces.  At small
-occupation numbers the two routes must agree; the Gaussian formulas are
-uniform in the parameters, so this validates them everywhere.
+occupation numbers the two routes must agree; the closed form is uniform
+in the parameters, so this validates it everywhere.
 """
 
 from qillum import (
     GainSpec,
     ScenarioParams,
-    balanced_beam_splitter,
-    count_difference_stats,
-    hypothesis_covariances,
+    per_mode_count_stats,
     receiver_count_moments,
 )
 
@@ -25,8 +23,7 @@ print(f"{'n_s':>5} {'n_b':>5} {'kappa':>6} {'G':>4}  "
 for n_s in (0.1, 0.4):
     for n_b, kappa, g in ((0.25, 0.1, 1.0), (0.5, 0.1, 2.0), (1.0, 0.4, 1.5)):
         p = ScenarioParams(n_s=n_s, n_b=n_b, kappa=kappa, gain=GainSpec(g), modes=1)
-        _, v1 = hypothesis_covariances(p)
-        gauss = count_difference_stats(balanced_beam_splitter(v1))
+        _, gauss = per_mode_count_stats(p)
         fock, leakage = receiver_count_moments(p, DIM, target_present=True)
         worst = max(
             abs(gauss.mean - fock.mean) / max(abs(gauss.mean), 1.0),

@@ -35,11 +35,9 @@ from .illumination import (
     receiver_stats,
     snr_csh_closed_form,
     snr_qi_closed_form,
-    splitter_folded_count_stats,
 )
 from .montecarlo import (
     ErrorProbabilityEstimate,
-    SamplingMode,
     TrialConfig,
     estimate_error_probability,
 )

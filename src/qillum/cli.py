@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import illumination, montecarlo
-from .gaussian import (
-    GainSpec,
-    amplify_mode,
-    balanced_beam_splitter,
-    min_ppt_symplectic_eigenvalue,
-    tmsv_covariance,
-)
+from .gaussian import GainSpec, amplify_mode, min_ppt_symplectic_eigenvalue, tmsv_covariance
 
 __all__ = ["SweepSpec", "build_parser", "main"]
 
@@ -175,9 +169,10 @@ def _sweep_rows(base: illumination.ScenarioParams, name: str,
         fields[name] = values
     p = illumination.ScenarioParams(**fields)
     regime = illumination.classify_regime(p)
+    report = illumination.detection_report(p)
     columns = np.broadcast_arrays(
-        values, illumination.snr_qi_closed_form(p), illumination.snr_csh_closed_form(p),
-        regime.ratio, illumination.detection_report(p).p_error, regime.regime)
+        values, report.snr_closed_form, illumination.snr_csh_closed_form(p),
+        regime.ratio, report.p_error, regime.regime)
     keys = ("value", "snr_qi", "snr_csh", "ratio", "p_error")
     return [dict(zip(keys, row), regime=row[-1].value)
             for row in zip(*(c.tolist() for c in columns))]
@@ -195,6 +190,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    if args.points < 1:
+        print(f"error: figure needs at least 1 point, got {args.points}", file=sys.stderr)
+        return 2
     rows = []
     if args.which == "gain-prefactor":
         for gain_db in np.linspace(0.0, 30.0, args.points):
@@ -238,10 +236,8 @@ def _cmd_validate(args) -> int:
     }
     worst = 0.0
     leak_worst = 0.0
-    v0, v1 = illumination.hypothesis_covariances(p)
-    for label, present in (("h0", False), ("h1", True)):
-        gauss = illumination.count_difference_stats(
-            balanced_beam_splitter(v1 if present else v0))
+    s0, s1 = illumination.per_mode_count_stats(p)
+    for label, gauss, present in (("h0", s0, False), ("h1", s1, True)):
         oracle, leakage = fock.receiver_count_moments(p, args.dim, present)
         row[f"{label}_mean_gaussian"] = gauss.mean
         row[f"{label}_mean_fock"] = oracle.mean

@@ -70,6 +70,15 @@ def _require(ok, value, message: str) -> None:
                                         if bad.ndim else value))
 
 
+def _item(x):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+#: math.log10 per element, so a scalar gain keeps its exact dB value.
+_log10 = np.vectorize(math.log10, otypes=[float])
+
+
 def _abs_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
     """All four |eigenvalues| of i*Omega*V, ascending."""
     eigs = np.linalg.eigvals(1j * SYMPLECTIC_FORM @ matrix)
@@ -127,10 +136,6 @@ class TwoModeCovariance:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.matrix)
-
-    @property
     def mode_photon_numbers(self) -> tuple[float, float]:
         """Mean photon number of each mode, (V_qq + V_pp - 1)/2."""
         m = self.matrix
@@ -154,7 +159,7 @@ class GainSpec:
 
     @property
     def db(self) -> float:
-        return 20.0 * math.log10(self.linear)
+        return _item(20.0 * _log10(self.linear))
 
     @classmethod
     def from_db(cls, gain_db) -> "GainSpec":

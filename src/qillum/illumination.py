@@ -20,6 +20,7 @@ import numpy as np
 from .gaussian import (
     GainSpec,
     TwoModeCovariance,
+    _item,
     _require,
     amplify_mode,
     apply_target_channel,
@@ -35,7 +36,6 @@ __all__ = [
     "RegimeReport",
     "hypothesis_covariances",
     "count_difference_stats",
-    "splitter_folded_count_stats",
     "receiver_stats",
     "per_mode_count_stats",
     "detection_report",
@@ -117,11 +117,6 @@ class RegimeReport:
     ratio: float
 
 
-def _item(x):
-    """A 0-d result as a Python scalar; arrays pass through."""
-    return np.asarray(x).item() if np.ndim(x) == 0 else x
-
-
 #: math.erfc per element, which keeps scipy off the import path.
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
@@ -174,45 +169,13 @@ def count_difference_stats(state: TwoModeCovariance) -> CountStats:
     return CountStats(mean=float(n1 - n2), variance=float(max(variance, 0.0)))
 
 
-def splitter_folded_count_stats(state: TwoModeCovariance) -> CountStats:
-    """Count-difference statistics at the balanced-splitter outputs,
-    evaluated by conjugating the observable through the splitter instead
-    of transforming the state: N+ - N- equals a1^dag a2 + a2^dag a1 on the
-    splitter inputs, whose Gaussian moments read directly off the input
-    covariance.
-
-    Algebraically identical to ``count_difference_stats`` applied to
-    ``balanced_beam_splitter(state)``, but free of the cancellation that
-    route suffers when a small mean or variance is re-extracted from
-    large post-splitter entries (worth ~4 eps times the largest entry,
-    which dominates at bright-idler corners).
-    """
-    m = state.matrix
-    n1 = (m[0, 0] + m[1, 1] - 1.0) / 2.0
-    n2 = (m[2, 2] + m[3, 3] - 1.0) / 2.0
-    # single-mode second moments <a_j^2> and the cross correlations
-    sq1 = complex(m[0, 0] - m[1, 1], 2.0 * m[0, 1]) / 2.0
-    sq2 = complex(m[2, 2] - m[3, 3], 2.0 * m[2, 3]) / 2.0
-    picc = complex(m[0, 2] + m[1, 3], m[0, 3] - m[1, 2]) / 2.0
-    pscc = complex(m[0, 2] - m[1, 3], m[0, 3] + m[1, 2]) / 2.0
-    variance = (
-        2.0 * (picc**2).real
-        + 2.0 * (sq1.conjugate() * sq2).real
-        + 2.0 * abs(pscc) ** 2
-        + 2.0 * n1 * n2
-        + n1
-        + n2
-    )
-    if variance < -1e-9:
-        raise ValueError("count-difference variance came out negative")
-    return CountStats(mean=float(2.0 * picc.real), variance=float(max(variance, 0.0)))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # detection_report rejects inf/nan
 def receiver_stats(n_s, n_b, kappa, gain):
     """Per-mode-pair (mu0, var0, mu1, var1) of N+ - N- under (H0, H1), for
-    linear gain G, broadcast over arrays: the closed form of
-    ``splitter_folded_count_stats(hypothesis_covariances(p))``.  n2 and n1
+    linear gain G, broadcast over arrays: the closed form of the float64
+    route ``count_difference_stats(balanced_beam_splitter(v))`` over
+    ``hypothesis_covariances(p)``, with the splitter folded into the
+    observable (N+ - N- = a1^dag a2 + a2^dag a1 on its inputs).  n2 and n1
     are the idler and received (H1) photon numbers.  Every sum adds
     non-negative terms and G - 1/G is formed as (G - 1)(G + 1)/G, so nothing
     cancels anywhere in the parameter range.

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .illumination import ScenarioParams, detection_report, per_mode_count_stats
 
 __all__ = [
-    "SamplingMode",
     "TrialConfig",
     "ErrorProbabilityEstimate",
     "estimate_error_probability",
@@ -30,27 +28,17 @@ __all__ = [
 SHARD_SIZE = 1 << 16
 
 
-class SamplingMode(Enum):
-    """How decision statistics are drawn. Only the Gaussian-totals law is
-    in scope; exact per-mode count sampling belongs to the Fock oracle."""
-
-    GAUSSIAN_TOTALS = "gaussian_totals"
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     params: ScenarioParams
     trials: int
     seed: int
-    mode: SamplingMode = SamplingMode.GAUSSIAN_TOTALS
 
     def __post_init__(self):
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ValueError(f"trial count must be a positive integer, got {self.trials}")
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
-        if self.mode is not SamplingMode.GAUSSIAN_TOTALS:
-            raise ValueError(f"unsupported sampling mode {self.mode}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -11,7 +14,7 @@ import pytest
 import qillum
 from qillum.cli import SweepSpec, main
 from qillum.gaussian import GainSpec
-from qillum.illumination import ScenarioParams, detection_report
+from qillum.illumination import ScenarioParams, detection_report, per_mode_count_stats
 
 #: One grid per sweepable parameter, around the default scenario.
 PINNED_SWEEPS = [
@@ -201,6 +204,20 @@ class TestFigures:
         assert ratios[0] == pytest.approx(2.0, rel=0.1)
         assert min(ratios) < 1.0
 
+    @pytest.mark.parametrize("which", ["gain-prefactor", "snr-ratio"])
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_bad_point_count_is_an_argument_error(self, capsys, which, points):
+        code, out, err = run_cli(capsys, "figure", which, "--points", points)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: figure needs at least 1 point, got {points}\n"
+
+    @pytest.mark.parametrize("which", ["gain-prefactor", "snr-ratio"])
+    def test_single_point(self, capsys, which):
+        code, out, _ = run_cli(capsys, "figure", which, "--points", "1")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2
+
 
 class TestPpt:
     def test_nonseparable_probe(self, capsys):
@@ -260,6 +277,24 @@ class TestImportPath:
         with pytest.raises(AttributeError):
             qillum.no_such_name  # noqa: B018
 
+    def test_every_exported_name_resolves(self):
+        # the benchmark tracer looks up every __all__ name of every module
+        for info in pkgutil.iter_modules(qillum.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"qillum.{info.name}")
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert not missing, f"qillum.{info.name}.__all__ names {missing}"
+        # names imported into qillum/__init__.py, and those resolved lazily there
+        tree = ast.parse(open(qillum.__file__).read())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names]
+        names += [elt.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  for comp in node.comparators if isinstance(comp, ast.Tuple)
+                  for elt in comp.elts]
+        assert "receiver_count_moments" in names and "receiver_stats" in names
+        assert [n for n in names if not hasattr(qillum, n)] == []
+
 
 class TestValidate:
     def test_default_point_agrees_with_oracle(self, capsys):
@@ -268,6 +303,13 @@ class TestValidate:
         payload = json.loads(out)
         assert payload["max_relative_deviation"] < 1e-8
         assert payload["leakage"] < 1e-6
+        # the Gaussian side is the kernel that report, sweep and simulate use
+        s0, s1 = per_mode_count_stats(ScenarioParams(
+            n_s=0.1, n_b=0.5, kappa=0.1, gain=GainSpec(2.0), modes=100))
+        assert payload["h0_mean_gaussian"] == s0.mean == 0.0
+        assert payload["h0_variance_gaussian"] == s0.variance
+        assert payload["h1_mean_gaussian"] == s1.mean
+        assert payload["h1_variance_gaussian"] == s1.variance
 
 
 class TestSimulate:

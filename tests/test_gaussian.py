@@ -88,6 +88,16 @@ class TestGainSpec:
         assert GainSpec(10.0).db == pytest.approx(20.0, abs=1e-13)
         assert GainSpec(1.0).db == 0.0
 
+    def test_db_broadcasts_per_element(self):
+        gains = np.array([1.0, 1.5, 2.0, 5.623413251903491, 31.62, 1e3])
+        db = GainSpec(gains).db
+        assert db.shape == gains.shape
+        assert db.tolist() == [GainSpec(g).db for g in gains.tolist()]
+        # a scalar gain keeps its exact Python-float dB value
+        for g in gains.tolist():
+            assert type(GainSpec(g).db) is float
+            assert GainSpec(g).db == 20.0 * math.log10(g)
+
     @pytest.mark.parametrize("bad", [0.5, 0.999999, 0.0, -2.0, math.nan])
     def test_rejects_attenuation(self, bad):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from qillum.illumination import ScenarioParams, detection_report
 from qillum.montecarlo import (
     SHARD_SIZE,
     ErrorProbabilityEstimate,
-    SamplingMode,
     TrialConfig,
     estimate_error_probability,
 )
@@ -27,14 +26,6 @@ class TestTrialConfig:
             TrialConfig(params=params(), trials=10, seed=-1)
         with pytest.raises(ValueError):
             TrialConfig(params=params(), trials=10, seed=2**64)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            TrialConfig(params=params(), trials=10, seed=1, mode="exact")
-
-    def test_default_mode(self):
-        cfg = TrialConfig(params=params(), trials=10, seed=1)
-        assert cfg.mode is SamplingMode.GAUSSIAN_TOTALS
 
 
 class TestEstimate:

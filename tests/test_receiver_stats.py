@@ -1,5 +1,5 @@
-"""The closed-form receiver kernel against a 50-digit reference and against
-the covariance-matrix derivation it replaces on the performance path."""
+"""The closed-form receiver kernel against a 50-digit reference built from
+the covariance matrices it reduces, and against itself under broadcasting."""
 
 import math
 
@@ -14,11 +14,9 @@ from qillum.illumination import (
     ScenarioParams,
     classify_regime,
     detection_report,
-    hypothesis_covariances,
     receiver_stats,
     snr_csh_closed_form,
     snr_qi_closed_form,
-    splitter_folded_count_stats,
 )
 
 #: Relative bound for mu1, var0, var1 and the threshold against 50 digits.
@@ -39,8 +37,10 @@ def _rel(a, b) -> float:
 
 
 def _mp_folded_stats(v):
-    """Folded count-difference moments of an mpmath 4x4 covariance: the
-    Gaussian moment formula of ``splitter_folded_count_stats``."""
+    """Count-difference moments at the balanced-splitter outputs of an mpmath
+    4x4 covariance, read off the splitter inputs: N+ - N- equals
+    a1^dag a2 + a2^dag a1 there, and its Gaussian moments follow from the
+    photon numbers, the single-mode <a_j^2> and both cross correlations."""
     n1 = (v[0][0] + v[1][1] - 1) / 2
     n2 = (v[2][2] + v[3][3] - 1) / 2
     sq1 = mp.mpc(v[0][0] - v[1][1], 2 * v[0][1]) / 2
@@ -101,16 +101,15 @@ def test_kernel_matches_50_digit_reference(ns, gain_db, nb, kappa, modes):
 @pytest.mark.parametrize("ns", NS_GRID)
 @pytest.mark.parametrize("g", GAIN_GRID)
 def test_kernel_matches_covariance_route(ns, g):
+    # the covariance route here is reference(): its matrices at 50 digits
     for nb in NB_GRID:
         for kappa in KAPPA_GRID:
-            p = ScenarioParams(n_s=ns, n_b=nb, kappa=kappa, gain=GainSpec(g), modes=100)
-            v0, v1 = hypothesis_covariances(p)
-            s0, s1 = splitter_folded_count_stats(v0), splitter_folded_count_stats(v1)
             mu0, var0, mu1, var1 = receiver_stats(ns, nb, kappa, g)
-            assert mu0 == s0.mean == 0.0
-            assert _rel(mu1, s1.mean) <= 1e-12
-            assert _rel(var0, s0.variance) <= 1e-12
-            assert _rel(var1, s1.variance) <= 1e-12
+            ref_mu1, ref_var0, ref_var1 = reference(ns, nb, kappa, g, 100)[:3]
+            assert mu0 == 0.0
+            assert _rel(mu1, ref_mu1) <= MOMENT_REL
+            assert _rel(var0, ref_var0) <= MOMENT_REL
+            assert _rel(var1, ref_var1) <= MOMENT_REL
 
 
 def test_kernel_broadcasts():
