@@ -1,12 +1,13 @@
 """qillum: entangled-probe target detection with a parametrically amplified idler.
 
-A small numpy/scipy library covering the full detection chain: two-mode
+A small numpy library covering the full detection chain: two-mode
 Gaussian state algebra, phase-sensitive idler amplification, the noisy
 return channel, balanced-splitter photon counting, error probabilities
 against the coherent-state homodyne benchmark, a truncated number-basis
 oracle, and seeded Monte Carlo validation.
 """
 
+from .fock import receiver_count_moments
 from .gaussian import (
     CrossCorrelations,
     GainSpec,
@@ -43,11 +44,3 @@ from .montecarlo import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):  # qillum.fock needs scipy: import it on first use
-    if name in ("TruncatedDensityMatrix", "build_oracle_state", "log_negativity",
-                "oracle_count_stats", "receiver_count_moments"):
-        from . import fock
-        return getattr(fock, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

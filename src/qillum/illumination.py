@@ -117,7 +117,7 @@ class RegimeReport:
     ratio: float
 
 
-#: math.erfc per element, which keeps scipy off the import path.
+#: math.erfc per element; numpy has no erfc ufunc and the package needs numpy alone.
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
