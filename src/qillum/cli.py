@@ -4,17 +4,18 @@ figure-data generation, oracle validation and Monte Carlo runs.
 All numeric output uses shortest-round-trip decimal formatting, so values
 parse back bit-identically; CSV is locale-independent with one header row
 and deterministic ordering.  Exit codes: 0 success, 2 argument error,
-1 numerical-domain error.
+1 numerical-domain error or an unwritable ``--output``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,11 @@ __all__ = ["SweepSpec", "build_parser", "main"]
 _SWEEPABLE = ("n_s", "n_b", "kappa", "gain_db", "modes")
 
 
-@dataclass(frozen=True)
+class _ArgumentError(ValueError):
+    """Bad input that argparse cannot see; ``main`` exits 2 on it."""
+
+
+@dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """One swept parameter: name, inclusive bounds, point count, spacing."""
 
@@ -38,13 +43,13 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.parameter not in _SWEEPABLE:
-            raise ValueError(f"unknown sweep parameter {self.parameter!r}")
+            raise _ArgumentError(f"unknown sweep parameter {self.parameter!r}")
         if self.points < 2:
-            raise ValueError(f"sweep needs at least 2 points, got {self.points}")
+            raise _ArgumentError(f"sweep needs at least 2 points, got {self.points}")
         if self.spacing not in ("linear", "log"):
-            raise ValueError(f"spacing must be linear or log, got {self.spacing!r}")
+            raise _ArgumentError(f"spacing must be linear or log, got {self.spacing!r}")
         if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
-            raise ValueError("log spacing requires positive bounds")
+            raise _ArgumentError("log spacing requires positive bounds")
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -52,47 +57,58 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def _add_gain_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--gain-db", type=float, default=None,
-                       help="amplifier gain in dB (20*log10 of the quadrature gain)")
-    group.add_argument("--gain", type=float, default=None,
-                       help="amplifier gain as a linear quadrature multiplier")
+#: Scenario flags in declaration order: help text and type.
+_SCENARIO_FLAGS = {
+    "ns": ("signal mean photons per mode", float),
+    "nb": ("background mean photons per mode", float),
+    "kappa": ("target reflectance", float),
+    "modes": ("number of signal-idler mode pairs", int),
+}
+
+#: The scenario flags of every command but ``validate``, with their defaults
+#: (None: required); ``gain`` is the default of ``--gain``, 15 dB.
+_SCENARIO = {"ns": None, "nb": 100.0, "kappa": 1e-3, "modes": 100, "gain": 10.0 ** 0.75}
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser, *, ns_default=None) -> None:
-    parser.add_argument("--ns", type=float, default=ns_default,
-                        required=ns_default is None,
-                        help="signal mean photons per mode")
-    parser.add_argument("--nb", type=float, default=100.0,
-                        help="background mean photons per mode (default 100)")
-    parser.add_argument("--kappa", type=float, default=1e-3,
-                        help="target reflectance (default 1e-3)")
-    parser.add_argument("--modes", type=int, default=100,
-                        help="number of signal-idler mode pairs (default 100)")
-    _add_gain_flags(parser)
+def _arg(*flags, **options) -> tuple:
+    return flags, options
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default=default_format,
-                        help=f"output format (default {default_format})")
-    parser.add_argument("--output", default=None, metavar="PATH",
+def _add_command(sub, name: str, func, summary: str, fmt: str, scenario: dict,
+                 *own: tuple) -> None:
+    """Add subcommand ``name``: the scenario flags ``scenario`` names, with
+    its defaults; the two gain flags if it names ``gain``; the command's
+    ``own`` arguments (from :func:`_arg`); then ``--format`` and ``--output``.
+    Every help text states the default the command really uses."""
+    parser = sub.add_parser(name, help=summary)
+    for flag, default in scenario.items():
+        if flag in _SCENARIO_FLAGS:
+            text, kind = _SCENARIO_FLAGS[flag]
+            parser.add_argument(f"--{flag}", type=kind, default=default, required=default is None,
+                                help=text if default is None else f"{text} (default %(default)s)")
+    if "gain" in scenario:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--gain-db", type=float,
+                           help="amplifier gain in dB (20*log10 of the quadrature gain)")
+        group.add_argument("--gain", type=float, default=scenario["gain"],
+                           help="amplifier gain as a linear quadrature multiplier "
+                                "(default %(default)s)")
+    for flags, options in own:
+        parser.add_argument(*flags, **options)
+    parser.add_argument("--format", choices=("csv", "json"), default=fmt,
+                        help="output format (default %(default)s)")
+    parser.add_argument("--output", metavar="PATH",
                         help="write to PATH instead of standard output")
+    parser.set_defaults(func=func)
 
 
 def _gain_from_args(args) -> GainSpec:
-    if args.gain is not None:
-        return GainSpec(args.gain)
-    if args.gain_db is not None:
-        return GainSpec.from_db(args.gain_db)
-    return GainSpec(getattr(args, "gain_default", 10.0 ** 0.75))
+    return GainSpec(args.gain) if args.gain_db is None else GainSpec.from_db(args.gain_db)
 
 
-def _params_from_args(args) -> illumination.ScenarioParams:
+def _params_from_args(args, modes: int) -> illumination.ScenarioParams:
     return illumination.ScenarioParams(
-        n_s=args.ns, n_b=args.nb, kappa=args.kappa,
-        gain=_gain_from_args(args), modes=args.modes,
-    )
+        n_s=args.ns, n_b=args.nb, kappa=args.kappa, gain=_gain_from_args(args), modes=modes)
 
 
 def _fmt(value) -> str:
@@ -110,8 +126,8 @@ def _jsonable(value):
 
 
 def _emit(rows: list[dict], args) -> None:
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with (open(args.output, "w", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
         if args.format == "json":
             payload = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
             json.dump(payload[0] if len(payload) == 1 else payload, out, indent=2)
@@ -121,9 +137,6 @@ def _emit(rows: list[dict], args) -> None:
             writer.writerow(rows[0].keys())
             for row in rows:
                 writer.writerow([_fmt(v) for v in row.values()])
-    finally:
-        if args.output:
-            out.close()
 
 
 def _relative_deviation(a: float, b: float) -> float:
@@ -132,150 +145,114 @@ def _relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def _cmd_report(args) -> int:
-    p = _params_from_args(args)
-    report = illumination.detection_report(p)
-    regime = illumination.classify_regime(p)
-    _emit([{
-        "n_s": p.n_s,
-        "n_b": p.n_b,
-        "kappa": p.kappa,
-        "gain": p.gain.linear,
-        "gain_db": p.gain.db,
-        "modes": p.modes,
-        "clt_reliable": p.clt_reliable,
-        "threshold": report.threshold,
-        "p_error": report.p_error,
-        "snr_closed_form": report.snr_closed_form,
-        "snr_first_principles": report.snr_first_principles,
-        "snr_csh": illumination.snr_csh_closed_form(p),
-        "ratio": regime.ratio,
-        "regime": regime.regime.value,
-    }], args)
-    return 0
+def _echo(p: illumination.ScenarioParams) -> dict:
+    """The input cells a scenario command's row starts with."""
+    return {"n_s": p.n_s, "n_b": p.n_b, "kappa": p.kappa,
+            "gain": p.gain.linear, "gain_db": p.gain.db}
+
+
+def _evaluate(p: illumination.ScenarioParams) -> dict:
+    """Threshold, error probability, SNRs, SNR ratio and regime of ``p``;
+    each is an array when ``p`` is array-valued."""
+    report, regime = illumination.detection_report(p), illumination.classify_regime(p)
+    return {"threshold": report.threshold, "p_error": report.p_error,
+            "snr_closed_form": report.snr_closed_form,
+            "snr_first_principles": report.snr_first_principles,
+            "snr_csh": illumination.snr_csh_closed_form(p),
+            "ratio": regime.ratio, "regime": regime.regime}
+
+
+def _cmd_report(args) -> list[dict]:
+    p = _params_from_args(args, args.modes)
+    quantities = _evaluate(p)
+    return [{**_echo(p), "modes": p.modes, "clt_reliable": p.clt_reliable,
+             **quantities, "regime": quantities["regime"].value}]
 
 
 def _sweep_rows(base: illumination.ScenarioParams, name: str,
                 values: np.ndarray) -> list[dict]:
     """Sweep rows for ``name`` over ``values``: one array-valued scenario,
     validated up front and evaluated in one call per quantity."""
-    fields = dict(n_s=base.n_s, n_b=base.n_b, kappa=base.kappa,
-                  gain=base.gain, modes=base.modes)
-    if name == "gain_db":
-        fields["gain"] = GainSpec.from_db(values)
-    elif name == "modes":
-        fields["modes"] = values = np.array([max(1, int(round(v))) for v in values.tolist()])
-    else:
-        fields[name] = values
-    p = illumination.ScenarioParams(**fields)
-    regime = illumination.classify_regime(p)
-    report = illumination.detection_report(p)
+    if name == "modes":
+        values = np.array([max(1, int(round(v))) for v in values.tolist()])
+    field = {"gain": GainSpec.from_db(values)} if name == "gain_db" else {name: values}
+    q = _evaluate(dataclasses.replace(base, **field))
     columns = np.broadcast_arrays(
-        values, report.snr_closed_form, illumination.snr_csh_closed_form(p),
-        regime.ratio, report.p_error, regime.regime)
+        values, q["snr_closed_form"], q["snr_csh"], q["ratio"], q["p_error"], q["regime"])
     keys = ("value", "snr_qi", "snr_csh", "ratio", "p_error")
     return [dict(zip(keys, row), regime=row[-1].value)
             for row in zip(*(c.tolist() for c in columns))]
 
 
-def _cmd_sweep(args) -> int:
-    try:
-        spec = SweepSpec(parameter=args.param, start=args.start, stop=args.stop,
-                         points=args.points, spacing=args.spacing)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(_sweep_rows(_params_from_args(args), spec.parameter, spec.values()), args)
-    return 0
+def _cmd_sweep(args) -> list[dict]:
+    spec = SweepSpec(parameter=args.param, start=args.start, stop=args.stop,
+                     points=args.points, spacing=args.spacing)
+    return _sweep_rows(_params_from_args(args, args.modes), spec.parameter, spec.values())
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> list[dict]:
     if args.points < 1:
-        print(f"error: figure needs at least 1 point, got {args.points}", file=sys.stderr)
-        return 2
-    rows = []
+        raise _ArgumentError(f"figure needs at least 1 point, got {args.points}")
     if args.which == "gain-prefactor":
-        for gain_db in np.linspace(0.0, 30.0, args.points):
-            rows.append({
-                "gain_db": float(gain_db),
-                "prefactor": illumination.gain_prefactor(GainSpec.from_db(gain_db)),
-            })
-    else:  # snr-ratio: amplified-idler vs homodyne benchmark curve
-        base = illumination.ScenarioParams(n_s=1e-2, n_b=100.0, kappa=1e-3,
-                                           gain=GainSpec.from_db(15.0), modes=1)
-        for row in _sweep_rows(base, "n_s", np.geomspace(1e-2, 1e8, args.points)):
-            rows.append({"n_s": row["value"], "snr_qi": row["snr_qi"],
-                         "snr_csh": row["snr_csh"], "ratio": row["ratio"]})
-    _emit(rows, args)
-    return 0
+        return [{"gain_db": float(gain_db),
+                 "prefactor": illumination.gain_prefactor(GainSpec.from_db(gain_db))}
+                for gain_db in np.linspace(0.0, 30.0, args.points)]
+    # snr-ratio: amplified-idler vs homodyne benchmark curve
+    base = illumination.ScenarioParams(n_s=1e-2, n_b=100.0, kappa=1e-3,
+                                       gain=GainSpec.from_db(15.0), modes=1)
+    return [{"n_s": row["value"], "snr_qi": row["snr_qi"],
+             "snr_csh": row["snr_csh"], "ratio": row["ratio"]}
+            for row in _sweep_rows(base, "n_s", np.geomspace(1e-2, 1e8, args.points))]
 
 
-def _cmd_ppt(args) -> int:
+def _cmd_ppt(args) -> list[dict]:
     gain = _gain_from_args(args)
     if not math.isfinite(args.ns) or args.ns < 0:
         raise ValueError(f"--ns must be finite and >= 0, got {args.ns}")
-    state = amplify_mode(tmsv_covariance(args.ns), 2, gain)
-    value = min_ppt_symplectic_eigenvalue(state)
-    _emit([{
+    value = min_ppt_symplectic_eigenvalue(amplify_mode(tmsv_covariance(args.ns), 2, gain))
+    return [{
         "n_s": args.ns,
         "gain": gain.linear,
         "gain_db": gain.db,
         "min_ppt_symplectic_eigenvalue": value,
         "verdict": "NONSEPARABLE" if value < 0.5 else "SEPARABLE",
-    }], args)
-    return 0
+    }]
 
 
-def _cmd_validate(args) -> int:
-    p = _params_from_args(args)
-    row = {
-        "n_s": p.n_s, "n_b": p.n_b, "kappa": p.kappa,
-        "gain": p.gain.linear, "gain_db": p.gain.db, "dim": args.dim,
-    }
-    worst = 0.0
-    leak_worst = 0.0
+def _cmd_validate(args) -> list[dict]:
+    p = _params_from_args(args, 1)  # the oracle compares one mode pair
+    row = {**_echo(p), "dim": args.dim}
+    worst = leak_worst = 0.0
     s0, s1 = illumination.per_mode_count_stats(p)
     for label, gauss, present in (("h0", s0, False), ("h1", s1, True)):
         try:
             oracle, leakage = fock.receiver_count_moments(p, args.dim, present)
         except fock.SqueezerTooLarge as exc:
-            print(f"error: --gain {p.gain.linear:g} is out of the oracle's reach at "
-                  f"--dim {args.dim}: {exc}", file=sys.stderr)
-            return 2
-        row[f"{label}_mean_gaussian"] = gauss.mean
-        row[f"{label}_mean_fock"] = oracle.mean
-        row[f"{label}_variance_gaussian"] = gauss.variance
-        row[f"{label}_variance_fock"] = oracle.variance
-        worst = max(worst,
-                    _relative_deviation(gauss.mean, oracle.mean),
-                    _relative_deviation(gauss.variance, oracle.variance))
+            raise _ArgumentError(f"--gain {p.gain.linear:g} is out of the oracle's reach at "
+                                 f"--dim {args.dim}: {exc}") from exc
+        for stat in ("mean", "variance"):
+            g, o = getattr(gauss, stat), getattr(oracle, stat)
+            row[f"{label}_{stat}_gaussian"], row[f"{label}_{stat}_fock"] = g, o
+            worst = max(worst, _relative_deviation(g, o))
         leak_worst = max(leak_worst, leakage)
     row["max_relative_deviation"] = worst
     row["leakage"] = leak_worst
-    _emit([row], args)
     if leak_worst > fock.LEAKAGE_WARNING_THRESHOLD:
         print(f"warning: leakage {leak_worst:.4g} is above {fock.LEAKAGE_WARNING_THRESHOLD:g}; "
               f"the --dim {args.dim} box cannot hold this state, so the comparison "
               "is not trustworthy", file=sys.stderr)
-    return 0
+    return [row]
 
 
-def _cmd_simulate(args) -> int:
-    p = _params_from_args(args)
+def _cmd_simulate(args) -> list[dict]:
+    p = _params_from_args(args, args.modes)
     cfg = montecarlo.TrialConfig(params=p, trials=args.trials, seed=args.seed)
     estimate = montecarlo.estimate_error_probability(cfg)
-    _emit([{
-        "n_s": p.n_s, "n_b": p.n_b, "kappa": p.kappa,
-        "gain": p.gain.linear, "gain_db": p.gain.db, "modes": p.modes,
-        "trials": estimate.trials, "seed": args.seed,
-        "threshold": estimate.threshold,
-        "p_error_empirical": estimate.p_error,
-        "std_error": estimate.std_error,
-        "false_alarms": estimate.false_alarms,
-        "misses": estimate.misses,
-        "p_error_analytic": illumination.detection_report(p).p_error,
-    }], args)
-    return 0
+    return [{**_echo(p), "modes": p.modes, "trials": estimate.trials, "seed": args.seed,
+             "threshold": estimate.threshold, "p_error_empirical": estimate.p_error,
+             "std_error": estimate.std_error, "false_alarms": estimate.false_alarms,
+             "misses": estimate.misses,
+             "p_error_analytic": illumination.detection_report(p).p_error}]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,66 +262,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "reports, sweeps, figure data, oracle validation, Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    rep = sub.add_parser("report", help="detection report for one scenario")
-    _add_scenario_flags(rep)
-    _add_output_flags(rep, "json")
-    rep.set_defaults(func=_cmd_report)
-
-    swp = sub.add_parser("sweep", help="sweep one parameter, emit per-point metrics")
-    _add_scenario_flags(swp)
-    swp.add_argument("--param", required=True, choices=_SWEEPABLE,
-                     help="which parameter to sweep")
-    swp.add_argument("--from", dest="start", type=float, required=True,
-                     help="first swept value")
-    swp.add_argument("--to", dest="stop", type=float, required=True,
-                     help="last swept value")
-    swp.add_argument("--points", type=int, default=50, help="point count (default 50)")
-    swp.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    _add_output_flags(swp, "csv")
-    swp.set_defaults(func=_cmd_sweep)
-
-    fig = sub.add_parser("figure", help="emit reference curve data")
-    fig.add_argument("which", choices=("gain-prefactor", "snr-ratio"))
-    fig.add_argument("--points", type=int, default=301,
-                     help="point count (default 301)")
-    _add_output_flags(fig, "csv")
-    fig.set_defaults(func=_cmd_figure)
-
-    ppt = sub.add_parser("ppt", help="partial-transpose separability test of the probe")
-    ppt.add_argument("--ns", type=float, required=True,
-                     help="signal mean photons per mode")
-    _add_gain_flags(ppt)
-    _add_output_flags(ppt, "json")
-    ppt.set_defaults(func=_cmd_ppt)
-
-    val = sub.add_parser("validate", help="compare the Gaussian pipeline with the "
-                                          "number-basis oracle")
-    _add_scenario_flags(val, ns_default=0.1)
-    val.set_defaults(nb=0.5, kappa=0.1, gain_default=2.0)
-    val.add_argument("--dim", type=int, default=30,
-                     help="per-mode truncation dimension (default 30)")
-    _add_output_flags(val, "json")
-    val.set_defaults(func=_cmd_validate)
-
-    sim = sub.add_parser("simulate", help="Monte Carlo estimate of the error probability")
-    _add_scenario_flags(sim)
-    sim.add_argument("--trials", type=int, default=100_000,
-                     help="trials per hypothesis (default 100000)")
-    sim.add_argument("--seed", type=int, default=1, help="reproducibility seed")
-    _add_output_flags(sim, "json")
-    sim.set_defaults(func=_cmd_simulate)
-
+    _add_command(sub, "report", _cmd_report, "detection report for one scenario",
+                 "json", _SCENARIO)
+    _add_command(sub, "sweep", _cmd_sweep, "sweep one parameter, emit per-point metrics",
+                 "csv", _SCENARIO,
+                 _arg("--param", required=True, choices=_SWEEPABLE,
+                      help="which parameter to sweep"),
+                 _arg("--from", dest="start", type=float, required=True,
+                      help="first swept value"),
+                 _arg("--to", dest="stop", type=float, required=True, help="last swept value"),
+                 _arg("--points", type=int, default=50, help="point count (default %(default)s)"),
+                 _arg("--spacing", choices=("linear", "log"), default="linear",
+                      help="point spacing (default %(default)s)"))
+    _add_command(sub, "figure", _cmd_figure, "emit reference curve data", "csv", {},
+                 _arg("which", choices=("gain-prefactor", "snr-ratio")),
+                 _arg("--points", type=int, default=301,
+                      help="point count (default %(default)s)"))
+    _add_command(sub, "ppt", _cmd_ppt, "partial-transpose separability test of the probe",
+                 "json", {"ns": None, "gain": _SCENARIO["gain"]})
+    _add_command(sub, "validate", _cmd_validate,
+                 "compare the Gaussian pipeline with the number-basis oracle",
+                 "json", {"ns": 0.1, "nb": 0.5, "kappa": 0.1, "gain": 2.0},
+                 _arg("--dim", type=int, default=30,
+                      help="per-mode truncation dimension (default %(default)s)"))
+    _add_command(sub, "simulate", _cmd_simulate, "Monte Carlo estimate of the error probability",
+                 "json", _SCENARIO,
+                 _arg("--trials", type=int, default=100_000,
+                      help="trials per hypothesis (default %(default)s)"),
+                 _arg("--seed", type=int, default=1,
+                      help="reproducibility seed (default %(default)s)"))
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; emit its rows.  Exit codes: 2 for an argument error
+    argparse cannot see, 1 for any other ``ValueError`` and for an
+    ``OSError`` (an unwritable ``--output``), each with one ``error:`` line
+    on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        _emit(args.func(args), args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _ArgumentError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -82,10 +82,6 @@ def thermal_probabilities(nbar: float, dim: int) -> np.ndarray:
     """Number distribution of a thermal state, truncated at ``dim``."""
     if not math.isfinite(nbar) or nbar < 0:
         raise ValueError(f"thermal brightness must be finite and >= 0, got {nbar}")
-    if nbar == 0.0:
-        probs = np.zeros(dim)
-        probs[0] = 1.0
-        return probs
     ratio = nbar / (nbar + 1.0)
     return (1.0 - ratio) * ratio ** np.arange(dim)
 
@@ -141,7 +137,7 @@ def squeeze_exponential(r: float, dim: int) -> np.ndarray:
     return u
 
 
-def squeeze_operator(r: float, dim_out: int, dim_in: int | None = None) -> np.ndarray:
+def squeeze_operator(r: float, dim_out: int, dim_in: int) -> np.ndarray:
     """Single-mode squeezer block <m|exp((r/2)(a^dag^2 - a^2))|n>.
 
     The block is cut from :func:`squeeze_exponential` evaluated in a
@@ -154,8 +150,6 @@ def squeeze_operator(r: float, dim_out: int, dim_in: int | None = None) -> np.nd
     ``MAX_SQUEEZE_WORK`` raises :class:`SqueezerTooLarge` before anything
     is built.
     """
-    if dim_in is None:
-        dim_in = dim_out
     gain = math.exp(abs(r))
     extent = (math.sqrt(dim_out) + math.sqrt(dim_in)) ** 2
     work = max(2 * max(dim_out, dim_in), math.ceil(gain * (0.3 * extent + 20.0)))

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import tracemalloc
 import pytest
 
 import qillum
-from qillum.cli import SweepSpec, main
+from qillum.cli import SweepSpec, build_parser, main
 from qillum.fock import LEAKAGE_WARNING_THRESHOLD
 from qillum.gaussian import GainSpec
 from qillum.illumination import ScenarioParams, detection_report, per_mode_count_stats
@@ -320,8 +321,12 @@ class TestValidate:
         assert payload["h1_variance_gaussian"] == s1.variance
 
     def test_default_point_prints_no_warning(self, capsys):
-        code, _, err = run_cli(capsys, "validate")
+        code, out, err = run_cli(capsys, "validate")
         assert (code, err) == (0, "")
+        # validate's own point, not the defaults of the other commands
+        payload = json.loads(out)
+        assert (payload["n_s"], payload["n_b"], payload["kappa"], payload["gain"]) == (
+            0.1, 0.5, 0.1, 2.0)
 
     def test_warns_when_the_box_cannot_hold_the_state(self, capsys, tmp_path):
         argv = ("validate", "--ns", "1e4", "--gain", "10", "--dim", "8")
@@ -401,6 +406,48 @@ class TestErrorHandling:
         assert code == 1
 
 
+#: The least each subcommand parses with.
+REQUIRED_ARGV = {
+    "report": ["--ns", "1"],
+    "sweep": ["--ns", "1", "--param", "n_s", "--from", "1", "--to", "2"],
+    "figure": ["snr-ratio"],
+    "ppt": ["--ns", "1"],
+    "validate": [],
+    "simulate": ["--ns", "1"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", REQUIRED_ARGV)
+    def test_help_states_the_defaults_parse_args_gives(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = capsys.readouterr().out.split("options:", 1)[1]
+        parsed = vars(build_parser().parse_args([command, *REQUIRED_ARGV[command]]))
+        dests = set()
+        for entry in re.split(r"\n  (?=--)", options)[1:]:  # one per flag after -h
+            flag, *words = entry.split()
+            dest = {"--from": "start", "--to": "stop"}.get(flag, flag[2:].replace("-", "_"))
+            dests.add(dest)
+            stated = re.search(r"\(default (\S+)\)$", " ".join(words))
+            if flag in REQUIRED_ARGV[command]:
+                assert stated is None
+            elif parsed[dest] is None:
+                assert stated is None, flag
+            else:
+                assert stated is not None, f"{command} {flag} hides its default"
+                assert stated.group(1) == str(parsed[dest]), flag
+        assert dests == set(parsed) - {"command", "func", "which"}
+
+    def test_validate_takes_no_modes(self, capsys):
+        # the oracle compares one mode pair; a mode count would change nothing
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--modes", "5"])
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --modes 5\n")
+
+
 class TestOutputFile:
     def test_writes_to_path(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"
@@ -412,3 +459,15 @@ class TestOutputFile:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "gain_db,prefactor"
         assert len(lines) == 12
+
+    def test_missing_directory_exits_one(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "row.json"
+        code, out, err = run_cli(capsys, "report", "--ns", "1", "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+    def test_directory_as_output_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--ns", "0.1", "--param", "n_s",
+                                 "--from", "0.1", "--to", "1", "--output", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 21] Is a directory: ") and err.count("\n") == 1
