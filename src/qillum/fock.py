@@ -4,9 +4,9 @@ Everything here works on explicitly truncated Fock spaces: the entangled
 source is written out as Schmidt amplitudes, the idler amplifier and the
 target beam splitter as exponentials of their number-basis generators,
 background mixing as an explicit ancilla mode that is traced out, and
-photon-count moments as plain trace evaluations.  The module needs numpy
-alone and exists to validate the covariance-matrix pipeline at small
-occupation numbers through an entirely independent route.
+photon-count moments as exact sums over (signal, ancilla) number pairs.
+The module needs numpy alone and exists to validate the covariance-matrix
+pipeline at small occupation numbers through an entirely independent route.
 
 Both generators are real antisymmetric chains: the squeezer couples
 |m> to |m+2> (an even and an odd chain), and the beam splitter couples
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,8 @@ __all__ = [
 #: Reported leakage above this marks the result as untrustworthy.
 LEAKAGE_WARNING_THRESHOLD = 1e-6
 
-#: Largest squeezer working space :func:`squeeze_operator` builds; it is a
-#: dense float64 matrix (128 MB at this size), enough for 30 dB at dim 60.
+#: Largest squeezer working space :func:`squeeze_operator` builds; its two dense
+#: parity-chain eigenproblems take 64 MB at this size, enough for 30 dB at dim 60.
 MAX_SQUEEZE_WORK = 4000
 
 
@@ -104,22 +104,24 @@ def tmsv_state(n_s: float, dim: int) -> np.ndarray:
 _CHAIN_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _expm_chain(t: np.ndarray) -> np.ndarray:
-    """exp(K) for the real antisymmetric chain K[k+1, k] = -K[k, k+1] = t[k].
+def _expm_chain(t: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """exp(K)[:rows, :cols] for the real antisymmetric chain K[k+1, k] = -K[k, k+1] = t[k].
 
     K = D^-1 (iT) D with T the symmetric tridiagonal matrix of ``t`` and
     D = diag(i^k), so exp(K)[j, k] = Re(i^(k-j) (V e^(iL) V^T)[j, k]) from
     one real eigendecomposition T = V L V^T.  cos(T) lives on even offsets
     k - j and sin(T) on odd ones, so a single product V (cos L + sin L) V^T
     carries both and a sign pattern of period 4 in k - j finishes the job.
+    Only the kept rows and columns of V enter the product.
     """
     lam, vec = np.linalg.eigh(np.diag(t, -1), UPLO="L")
-    prod = (vec * (np.cos(lam) + np.sin(lam))) @ vec.T
-    k = np.arange(len(lam))
-    return _CHAIN_SIGNS[(k[None, :] - k[:, None]) % 4] * prod
+    prod = (vec[:rows] * (np.cos(lam) + np.sin(lam))) @ vec[:cols].T
+    j, k = np.ogrid[: prod.shape[0], : prod.shape[1]]
+    return _CHAIN_SIGNS[(k - j) % 4] * prod
 
 
-def squeeze_exponential(r: float, dim: int) -> np.ndarray:
+def squeeze_exponential(r: float, dim: int, rows: int | None = None,
+                        cols: int | None = None) -> np.ndarray:
     """exp((r/2)(a^dag^2 - a^2)) with the generator truncated at ``dim``.
 
     Positive ``r`` amplifies the position quadrature by e^r on the state.
@@ -127,13 +129,15 @@ def squeeze_exponential(r: float, dim: int) -> np.ndarray:
     exactly orthogonal; the price is that amplitude which belongs above
     the truncation is folded back near the boundary.  The generator
     couples |m> to |m+2> only, so the even and the odd number states
-    form two independent chains.
+    form two independent chains.  ``rows`` and ``cols`` (default ``dim``)
+    keep the leading block, and only that block is formed.
     """
+    shape = (dim if rows is None else rows, dim if cols is None else cols)
     m = np.arange(dim - 2)
     t = 0.5 * r * np.sqrt((m + 1.0) * (m + 2.0))
-    u = np.zeros((dim, dim))
+    u = np.zeros(shape)
     for parity in range(min(dim, 2)):
-        u[parity::2, parity::2] = _expm_chain(t[parity::2])
+        u[parity::2, parity::2] = _expm_chain(t[parity::2], *((k + 1 - parity) // 2 for k in shape))
     return u
 
 
@@ -157,11 +161,11 @@ def squeeze_operator(r: float, dim_out: int, dim_in: int) -> np.ndarray:
         raise SqueezerTooLarge(
             f"gain {gain:g} needs a {work}-dim squeezer working space for a "
             f"{dim_out} x {dim_in} block, above the limit of {MAX_SQUEEZE_WORK}")
-    return squeeze_exponential(r, work)[:dim_out, :dim_in]
+    return squeeze_exponential(r, work, dim_out, dim_in)
 
 
-# Bounded because theta changes with every kappa.  One dim-60 H1 moment
-# evaluation touches 139 sectors, well under the bound.
+# Bounded because theta changes with every kappa.  The dim-60 H1 sector
+# tables read 139 sectors, each exactly once, well under the bound.
 @lru_cache(maxsize=512)
 def _bs_sector_unitary(n_total: int, theta: float) -> np.ndarray:
     """Beam-splitter unitary restricted to the n_total-photon sector.
@@ -179,46 +183,29 @@ def _bs_sector_unitary(n_total: int, theta: float) -> np.ndarray:
 def _signal_idler_amplitudes(p: ScenarioParams, dims: _WorkDims) -> np.ndarray:
     """Amplitudes psi[s, i] of the source after idler amplification."""
     psi = tmsv_state(p.n_s, dims.signal)
-    if p.gain.linear != 1.0:
-        sq = squeeze_operator(math.log(p.gain.linear), dims.idler, dims.signal)
-        psi = psi @ sq.T
-    else:
-        psi = np.pad(psi, ((0, 0), (0, dims.idler - dims.signal)))
-    return psi
+    if p.gain.linear == 1.0:
+        return np.pad(psi, ((0, 0), (0, dims.idler - dims.signal)))
+    return psi @ squeeze_operator(math.log(p.gain.linear), dims.idler, dims.signal).T
 
 
-def _branch_blocks(
-    p: ScenarioParams, dims: _WorkDims, target_present: bool
-) -> Iterator[np.ndarray]:
-    """Yield matrices Q_k whose Gram sum is the received-idler state.
+def _sector_tables(theta: float, n_top: int, rows: int, cols: int) -> np.ndarray:
+    """Sums over r < min(N + 1, rows) at [N, s < cols], u_N = _bs_sector_unitary(N, theta).
 
-    Each block is real with row index (received * dims.idler + idler);
-    sum_k Q_k Q_k^T equals the two-mode density matrix in the working box.
+    The five tables: u_N[r, s]^2 weighted by 1, r and (r + 1)[r <= rows - 2];
+    sqrt(r) u_N[r, s] u_{N-1}[r-1, s-1]; sqrt(r (r - 1)) u_N[r, s] u_{N-2}[r-2, s-2].
     """
-    psi = _signal_idler_amplitudes(p, dims)
-    if not target_present:
-        probs = thermal_probabilities(p.n_b, dims.received)
-        for m in range(dims.received):
-            if probs[m] == 0.0:
-                continue
-            block = np.zeros((dims.received * dims.idler, dims.signal))
-            block[m * dims.idler : (m + 1) * dims.idler, :] = math.sqrt(probs[m]) * psi.T
-            yield block
-        return
-    theta = math.acos(math.sqrt(p.kappa))
-    probs = thermal_probabilities(p.n_b / (1.0 - p.kappa), dims.ancilla)
-    for n in range(dims.ancilla):
-        if probs[n] == 0.0:
-            continue
-        width = n + dims.signal
-        phi = np.zeros((dims.received, dims.idler, width))
-        for s in range(dims.signal):
-            n_total = s + n
-            column = _bs_sector_unitary(n_total, theta)[:, s]
-            r_top = min(n_total, dims.received - 1)
-            r = np.arange(r_top + 1)
-            phi[r, :, n_total - r] += column[: r_top + 1, None] * psi[s][None, :]
-        yield math.sqrt(probs[n]) * phi.reshape(dims.received * dims.idler, width)
+    n = n_top + 1
+    u = np.zeros((n, rows, cols))
+    for n_total in range(n):
+        sector = _bs_sector_unitary(n_total, theta)[:rows, :cols]
+        u[n_total, : sector.shape[0], : sector.shape[1]] = sector
+    r = np.arange(float(rows))
+    tables = np.zeros((5, n, cols))
+    for k, (d, w) in enumerate([(0, np.ones(rows)), (0, r), (0, (r + 1.0) * (r < rows - 1)),
+                                (1, np.sqrt(r)), (2, np.sqrt(r * (r - 1.0)))]):
+        tables[k, d:, d:] = np.einsum("nrs,nrs,r->ns", u[d:, d:, d:],
+                                      u[: n - d, : rows - d, : cols - d], w[d:])
+    return tables
 
 
 def receiver_count_moments(
@@ -228,22 +215,35 @@ def receiver_count_moments(
 
     The state is built in the padded working box and the balanced splitter
     enters exactly, through the interference observable
-    a_R^dag a_I + a_I^dag a_R; the returned leakage is the probability
-    weight the working box could not hold.  This is the high-accuracy
-    route used to validate the covariance pipeline.
+    X = a_R^dag a_I + a_I^dag a_R; the returned leakage is the probability
+    weight the working box could not hold.  Ancilla branch n sends signal s
+    into sector N = s + n and X never touches the traced-out splitter port,
+    so each moment sums p_n * (idler vector at s) * (sector table at [N, s]).
     """
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
     dims = _work_dims(dim)
-    # <r-1, i+1| a_R a_I^dag |r, i> = sqrt(r (i+1)), r >= 1, i <= idler - 2
-    hop = np.sqrt(np.outer(np.arange(1.0, dims.received), np.arange(1.0, dims.idler)))[..., None]
-    mean = second = trace = 0.0
-    for block in _branch_blocks(p, dims, target_present):
-        q = block.reshape(dims.received, dims.idler, -1)
-        wq = np.zeros_like(q)
-        np.multiply(hop, q[:-1, 1:], out=wq[1:, :-1])  # a_R^dag a_I q
-        wq[:-1, 1:] += hop * q[1:, :-1]  # a_I^dag a_R q
-        mean += float(np.vdot(q, wq))
-        second += float(np.vdot(wq, wq))
-        trace += float(np.vdot(q, q))
-    return CountStats(mean=mean, variance=second - mean**2), max(0.0, 1.0 - trace)
+    psi = _signal_idler_amplitudes(p, dims)
+    i = np.arange(float(dims.idler))
+    weight = psi * psi
+    occupied = weight.sum(axis=1)
+    lowered = weight @ i  # <a_I^dag a_I> per signal number
+    raised = weight[:, :-1] @ i[1:]  # <a_I a_I^dag> within the box
+    if not target_present:
+        # a thermal received mode independent of the idler: X shifts m, so the mean is 0
+        probs = thermal_probabilities(p.n_b, dims.received)
+        m = np.arange(float(dims.received))
+        second = (probs[:-1] @ m[1:]) * lowered.sum() + (probs @ m) * raised.sum()
+        return CountStats(0.0, float(second)), max(0.0, 1.0 - float(probs.sum() * occupied.sum()))
+    # a weight that underflowed to zero touches no sector
+    probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), dims.ancilla), "b")
+    hops = np.zeros((2, dims.signal))  # 2 x idler overlaps of signal s with s - 1 and s - 2
+    hops[0, 1:] = 2.0 * (psi[1:, :-1] * psi[:-1, 1:]) @ np.sqrt(i[1:])
+    hops[1, 2:] = 2.0 * (psi[2:, :-2] * psi[:-2, 2:]) @ np.sqrt(i[1:-1] * i[2:])
+    tables = _sector_tables(math.acos(math.sqrt(p.kappa)), dims.signal + len(probs) - 2,
+                            dims.received, dims.signal)
+    n, s = np.ogrid[: len(probs), : dims.signal]
+    trace, down, up, mean, cross = np.einsum(
+        "n,kns,ks->k", probs, tables[:, n + s, s], np.stack([occupied, raised, lowered, *hops])
+    ).tolist()
+    return CountStats(mean=mean, variance=down + up + cross - mean**2), max(0.0, 1.0 - trace)

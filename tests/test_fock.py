@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from qillum.fock import (
     LEAKAGE_WARNING_THRESHOLD,
     MAX_SQUEEZE_WORK,
     SqueezerTooLarge,
-    _branch_blocks,
     _bs_sector_unitary,
+    _signal_idler_amplitudes,
     _work_dims,
     receiver_count_moments,
     squeeze_exponential,
@@ -34,6 +35,51 @@ def params(ns, nb, kappa, g, modes=1):
 def gaussian_receiver_stats(p, target_present):
     v0, v1 = hypothesis_covariances(p)
     return count_difference_stats(balanced_beam_splitter(v1 if target_present else v0))
+
+
+def branch_blocks(p, dims, target_present):
+    """Yield matrices Q_k whose Gram sum is the received-idler state.
+
+    The dense reference for the oracle's reduced sums: each block is real
+    with row index (received * dims.idler + idler), and sum_k Q_k Q_k^T
+    equals the two-mode density matrix in the working box.
+    """
+    psi = _signal_idler_amplitudes(p, dims)
+    if not target_present:
+        probs = thermal_probabilities(p.n_b, dims.received)
+        for m in range(dims.received):
+            block = np.zeros((dims.received * dims.idler, dims.signal))
+            block[m * dims.idler : (m + 1) * dims.idler, :] = math.sqrt(probs[m]) * psi.T
+            yield block
+        return
+    theta = math.acos(math.sqrt(p.kappa))
+    probs = thermal_probabilities(p.n_b / (1.0 - p.kappa), dims.ancilla)
+    for n in range(dims.ancilla):
+        width = n + dims.signal
+        phi = np.zeros((dims.received, dims.idler, width))
+        for s in range(dims.signal):
+            n_total = s + n
+            column = _bs_sector_unitary(n_total, theta)[:, s]
+            r = np.arange(min(n_total, dims.received - 1) + 1)
+            phi[r, :, n_total - r] += column[r, None] * psi[s][None, :]
+        yield math.sqrt(probs[n]) * phi.reshape(dims.received * dims.idler, width)
+
+
+def operator_moments(p, dim, target_present):
+    """Mean, variance and trace of N+ - N- = a_R^dag a_I + a_I^dag a_R as an
+    explicit matrix on the working box, applied to every branch block."""
+    dims = _work_dims(dim)
+    a_r = sparse.diags(np.sqrt(np.arange(1.0, dims.received)), 1)
+    a_i = sparse.diags(np.sqrt(np.arange(1.0, dims.idler)), 1)
+    cross = sparse.kron(a_r.T, a_i, format="csr")
+    w = cross + cross.T
+    mean = second = trace = 0.0
+    for block in branch_blocks(p, dims, target_present):
+        wq = w @ block
+        mean += float(np.sum(block * wq))
+        second += float(np.sum(wq * wq))
+        trace += float(np.sum(block * block))
+    return mean, second - mean**2, trace
 
 
 def pure_state_log_negativity(amps):
@@ -184,23 +230,29 @@ class TestCountMoments:
         assert stats.variance == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("present", [False, True])
-    def test_moments_match_explicit_interference_operator(self, present):
-        # reference: N+ - N- = a_R^dag a_I + a_I^dag a_R as a dense matrix
-        # on the working box, applied to every branch block
-        p = params(0.3, 0.6, 0.3, 1.7)
-        dims = _work_dims(6)
-        a_r = np.diag(np.sqrt(np.arange(1.0, dims.received)), 1)
-        a_i = np.diag(np.sqrt(np.arange(1.0, dims.idler)), 1)
-        cross = np.kron(a_r.T, a_i)
-        w = cross + cross.T
-        mean = second = 0.0
-        for block in _branch_blocks(p, dims, present):
-            wq = w @ block
-            mean += float(np.sum(block * wq))
-            second += float(np.sum(wq * wq))
-        stats, _ = receiver_count_moments(p, 6, present)
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("g", [1.0, 1.7])
+    def test_moments_match_explicit_interference_operator(self, g, kappa, present):
+        p = params(0.3, 0.6, kappa, g)
+        mean, variance, trace = operator_moments(p, 6, present)
+        stats, leakage = receiver_count_moments(p, 6, present)
         assert stats.mean == pytest.approx(mean, rel=1e-12, abs=1e-15)
-        assert stats.variance == pytest.approx(second - mean**2, rel=1e-12)
+        assert stats.variance == pytest.approx(variance, rel=1e-12)
+        assert leakage == pytest.approx(1.0 - trace, rel=1e-12, abs=1e-15)
+
+    def test_reduced_sums_match_dense_blocks_at_dim_30(self):
+        p = params(0.3, 0.6, 0.3, 1.7)
+        mean, variance, _ = operator_moments(p, 30, True)
+        stats, _ = receiver_count_moments(p, 30, True)
+        assert stats.mean == pytest.approx(mean, rel=1e-12)
+        assert stats.variance == pytest.approx(variance, rel=1e-12)
+
+    def test_no_target_mean_is_zero_without_splitter_sectors(self):
+        p = params(0.3, 0.6, 0.3, 1.7)
+        before = _bs_sector_unitary.cache_info()
+        stats, _ = receiver_count_moments(p, 30, False)
+        assert stats.mean == 0.0
+        assert _bs_sector_unitary.cache_info() == before
 
     def test_received_mode_keeps_reflected_plus_background_photons(self):
         # <N_received> = kappa*n_s + n_b once the compensated background mixes in
@@ -208,7 +260,7 @@ class TestCountMoments:
         dims = _work_dims(30)
         occupation = np.repeat(np.arange(dims.received), dims.idler).astype(float)
         total = 0.0
-        for block in _branch_blocks(p, dims, target_present=True):
+        for block in branch_blocks(p, dims, target_present=True):
             total += float(np.sum(occupation[:, None] * block * block))
         assert total == pytest.approx(0.1 * 0.5 + 0.5, abs=1e-8)
 
