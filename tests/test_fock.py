@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,6 +11,7 @@ from qillum.fock import (
     MAX_SQUEEZE_WORK,
     SqueezerTooLarge,
     _bs_sector_unitary,
+    _expm_chain,
     _signal_idler_amplitudes,
     _work_dims,
     receiver_count_moments,
@@ -37,6 +39,34 @@ def gaussian_receiver_stats(p, target_present):
     return count_difference_stats(balanced_beam_splitter(v1 if target_present else v0))
 
 
+def sector_reference(n_total, theta):
+    """The beam-splitter sector U_N, basis |k, N - k>, exponentiated as one
+    generator chain through a tridiagonal eigenproblem."""
+    k = np.arange(n_total)
+    return _expm_chain(theta * np.sqrt((k + 1.0) * (n_total - k)))
+
+
+def sector_50_digits(n_total, theta, idx):
+    """U_N[r, k] at r, k in ``idx`` from the binomial closed form, to 50 digits:
+    sum_i C(k, i) c^i (-s)^(k-i) C(N-k, r-i) s^(r-i) c^(N-k-r+i) sqrt(r! (N-r)! / (k! (N-k)!))
+    with c, s the cosine and sine of the float ``theta``."""
+    with mpmath.workdps(50):
+        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        c_pow = [c**j for j in range(n_total + 1)]
+        s_pow = [s**j for j in range(n_total + 1)]
+        out = np.empty((len(idx), len(idx)))
+        for a, r in enumerate(idx):
+            for b, k in enumerate(idx):
+                total = mpmath.fsum(
+                    (-1) ** (k - i) * math.comb(k, i) * math.comb(n_total - k, r - i)
+                    * c_pow[n_total - k - r + 2 * i] * s_pow[k + r - 2 * i]
+                    for i in range(max(0, r + k - n_total), min(k, r) + 1))
+                norm = mpmath.mpf(math.factorial(r) * math.factorial(n_total - r)) / (
+                    math.factorial(k) * math.factorial(n_total - k))
+                out[a, b] = total * mpmath.sqrt(norm)
+        return out
+
+
 def branch_blocks(p, dims, target_present):
     """Yield matrices Q_k whose Gram sum is the received-idler state.
 
@@ -53,13 +83,14 @@ def branch_blocks(p, dims, target_present):
             yield block
         return
     theta = math.acos(math.sqrt(p.kappa))
+    sectors = [sector_reference(n, theta) for n in range(dims.signal + dims.ancilla - 1)]
     probs = thermal_probabilities(p.n_b / (1.0 - p.kappa), dims.ancilla)
     for n in range(dims.ancilla):
         width = n + dims.signal
         phi = np.zeros((dims.received, dims.idler, width))
         for s in range(dims.signal):
             n_total = s + n
-            column = _bs_sector_unitary(n_total, theta)[:, s]
+            column = sectors[n_total][:, s]
             r = np.arange(min(n_total, dims.received - 1) + 1)
             phi[r, :, n_total - r] += column[r, None] * psi[s][None, :]
         yield math.sqrt(probs[n]) * phi.reshape(dims.received * dims.idler, width)
@@ -166,14 +197,40 @@ class TestExponentialsAgainstExpm:
     # at G = 31.6; the chain exponential stays orthogonal to ~1e-13
 
     @pytest.mark.parametrize("n_total", [0, 1, 2, 7, 30, 80, 150, 250])
-    @pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.4])
+    @pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.4, math.pi / 2, 1e-3])
     def test_beam_splitter_sector(self, n_total, theta):
+        # the full sector, the last block of the recursion's stack; uncached,
+        # since the stack reaches 126 MB at N = 250
         k = np.arange(n_total)
         lower = np.zeros((n_total + 1, n_total + 1))
         lower[k + 1, k] = theta * np.sqrt((k + 1.0) * (n_total - k))
         reference = expm(lower - lower.T)
         defect = np.abs(reference.T @ reference - np.eye(n_total + 1)).max()
-        assert np.abs(_bs_sector_unitary(n_total, theta) - reference).max() <= 1e-12 + defect
+        u = _bs_sector_unitary.__wrapped__(theta, n_total, n_total + 1, n_total + 1)[n_total]
+        assert np.abs(u - reference).max() <= 1e-12 + defect
+        assert np.abs(u.T @ u - np.eye(n_total + 1)).max() < 1e-13
+
+    @pytest.mark.parametrize("n_total", [60, 100, 140])
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.999])
+    def test_beam_splitter_sector_against_50_digits(self, n_total, kappa):
+        # a grid of ~16 x 16 entries spanning the whole sector; the closed
+        # form's terms reach ~1e19 at kappa = 0.5, N = 140, so 50 digits
+        # leave ~30 after cancellation
+        theta = math.acos(math.sqrt(kappa))
+        idx = sorted(set(range(0, n_total + 1, n_total // 15)) | {n_total})
+        u = _bs_sector_unitary.__wrapped__(theta, n_total, n_total + 1, n_total + 1)[n_total]
+        assert np.abs(u[np.ix_(idx, idx)] - sector_50_digits(n_total, theta, idx)).max() < 1e-13
+
+    def test_beam_splitter_kept_block_matches_its_full_sectors(self):
+        # the oracle's dim-30 box: 50 received rows, 30 signal columns
+        theta = math.acos(math.sqrt(0.3))
+        stack = _bs_sector_unitary.__wrapped__(theta, 78, 50, 30)
+        assert not stack.flags.writeable
+        for n_total in range(79):
+            block = np.zeros((50, 30))
+            full = sector_reference(n_total, theta)[:50, :30]
+            block[: full.shape[0], : full.shape[1]] = full
+            assert np.abs(stack[n_total] - block).max() < 1e-13
 
     @pytest.mark.parametrize("gain", [1.1, 2.0, 4.0, 10.0, 31.6])
     @pytest.mark.parametrize("dim", [3, 60, 108, 156, 216])
@@ -253,6 +310,11 @@ class TestCountMoments:
         stats, _ = receiver_count_moments(p, 30, False)
         assert stats.mean == 0.0
         assert _bs_sector_unitary.cache_info() == before
+
+    def test_splitter_cache_keeps_one_stack(self):
+        for kappa in (0.1, 0.2, 0.3, 0.4, 0.5):
+            receiver_count_moments(params(0.3, 0.6, kappa, 1.7), 12, True)
+        assert _bs_sector_unitary.cache_info().currsize == 1
 
     def test_received_mode_keeps_reflected_plus_background_photons(self):
         # <N_received> = kappa*n_s + n_b once the compensated background mixes in
