@@ -9,9 +9,14 @@ The module needs numpy alone and exists to validate the covariance-matrix
 pipeline at small occupation numbers through an entirely independent route.
 
 The squeezer's generator is a real antisymmetric chain coupling |m> to
-|m+2> (an even and an odd chain), and a chain exponentiates exactly
-through one symmetric tridiagonal eigenproblem; that eigh serves the
-squeezer alone.  The beam splitter conserves the photon number N, and
+|m+2> (an even and an odd chain).  The oracle needs only the leading
+columns of its exponential, and forms them from the Chebyshev series of
+exp(K), whose Bessel-function coefficients make it exact to rounding after
+~|K| terms.  That takes elementwise products alone: a dense ``eigh`` of a
+chain above 32 sites calls threaded BLAS, whose workers then spin past the
+call and make the oracle several times slower whenever another process
+wants the CPU.  The full exponential (:func:`squeeze_exponential`) keeps
+the eigh route.  The beam splitter conserves the photon number N, and
 its sector unitary U_N (basis |k, N-k>) is built from U_{N-1}: with J the
 map (a^dag, b^dag)/sqrt(N) from two copies of the (N-1)-photon sector onto
 the N-photon one, U_N = J (U_{N-1} (x) R) J^T, where R is the rotation by
@@ -54,8 +59,9 @@ __all__ = [
 #: Reported leakage above this marks the result as untrustworthy.
 LEAKAGE_WARNING_THRESHOLD = 1e-6
 
-#: Largest squeezer working space :func:`squeeze_operator` builds; its two dense
-#: parity-chain eigenproblems take 64 MB at this size, enough for 30 dB at dim 60.
+#: Largest squeezer working space :func:`squeeze_operator` builds, enough for 30 dB
+#: at dim 60.  The block's cost grows as |r| * work^2 * dim_in: ~12 s for the
+#: dim-60 oracle's 108 x 60 block at this size.
 MAX_SQUEEZE_WORK = 4000
 
 
@@ -112,24 +118,28 @@ def tmsv_state(n_s: float, dim: int) -> np.ndarray:
 _CHAIN_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _expm_chain(t: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """exp(K)[:rows, :cols] for the real antisymmetric chain K[k+1, k] = -K[k, k+1] = t[k].
+def _expm_chain(t: np.ndarray) -> np.ndarray:
+    """exp(K) for the real antisymmetric chain K[k+1, k] = -K[k, k+1] = t[k].
 
     K = D^-1 (iT) D with T the symmetric tridiagonal matrix of ``t`` and
     D = diag(i^k), so exp(K)[j, k] = Re(i^(k-j) (V e^(iL) V^T)[j, k]) from
     one real eigendecomposition T = V L V^T.  cos(T) lives on even offsets
     k - j and sin(T) on odd ones, so a single product V (cos L + sin L) V^T
     carries both and a sign pattern of period 4 in k - j finishes the job.
-    Only the kept rows and columns of V enter the product.
     """
     lam, vec = np.linalg.eigh(np.diag(t, -1), UPLO="L")
-    prod = (vec[:rows] * (np.cos(lam) + np.sin(lam))) @ vec[:cols].T
+    prod = (vec * (np.cos(lam) + np.sin(lam))) @ vec.T
     j, k = np.ogrid[: prod.shape[0], : prod.shape[1]]
     return _CHAIN_SIGNS[(k - j) % 4] * prod
 
 
-def squeeze_exponential(r: float, dim: int, rows: int | None = None,
-                        cols: int | None = None) -> np.ndarray:
+def _squeeze_couplings(r: float, dim: int) -> np.ndarray:
+    """Generator couplings t[m] = <m+2|(r/2)(a^dag^2 - a^2)|m>, m < dim - 2."""
+    m = np.arange(dim - 2)
+    return 0.5 * r * np.sqrt((m + 1.0) * (m + 2.0))
+
+
+def squeeze_exponential(r: float, dim: int) -> np.ndarray:
     """exp((r/2)(a^dag^2 - a^2)) with the generator truncated at ``dim``.
 
     Positive ``r`` amplifies the position quadrature by e^r on the state.
@@ -137,30 +147,91 @@ def squeeze_exponential(r: float, dim: int, rows: int | None = None,
     exactly orthogonal; the price is that amplitude which belongs above
     the truncation is folded back near the boundary.  The generator
     couples |m> to |m+2> only, so the even and the odd number states
-    form two independent chains.  ``rows`` and ``cols`` (default ``dim``)
-    keep the leading block, and only that block is formed.
+    form two independent chains, each exponentiated by one dense ``eigh``.
     """
-    shape = (dim if rows is None else rows, dim if cols is None else cols)
-    m = np.arange(dim - 2)
-    t = 0.5 * r * np.sqrt((m + 1.0) * (m + 2.0))
-    u = np.zeros(shape)
+    t = _squeeze_couplings(r, dim)
+    u = np.zeros((dim, dim))
     for parity in range(min(dim, 2)):
-        u[parity::2, parity::2] = _expm_chain(t[parity::2], *((k + 1 - parity) // 2 for k in shape))
+        u[parity::2, parity::2] = _expm_chain(t[parity::2])
     return u
 
 
-def squeeze_operator(r: float, dim_out: int, dim_in: int) -> np.ndarray:
-    """Single-mode squeezer block <m|exp((r/2)(a^dag^2 - a^2))|n>.
+def _bessel_j(x: float) -> np.ndarray:
+    """J_0(x), J_1(x), ... for x > 0, up to the last order above 1e-18.
 
-    The block is cut from :func:`squeeze_exponential` evaluated in a
+    Miller's algorithm: J_{k-1} = (2k/x) J_k - J_{k+1}, run down from a
+    unit seed at an order where J_k(x) < 1e-18 (x + 12 x^(1/3) + 20, from
+    the Airy tail of J_k near k = x), converges onto the decaying solution;
+    J_0 + 2 (J_2 + J_4 + ...) = 1 then fixes the scale.
+    """
+    top = int(x + 12.0 * x ** (1.0 / 3.0) + 20.0)
+    j = [0.0] * (top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:  # the seed's growth below k ~ x
+            j = [v * 1e-250 for v in j]
+    out = np.array(j[: top + 1])
+    out /= out[0] + 2.0 * out[2::2].sum()
+    return out[: np.flatnonzero(np.abs(out) > 1e-18)[-1] + 1]
+
+
+def _squeeze_block(r: float, dim: int, rows: int, cols: int) -> np.ndarray:
+    """squeeze_exponential(r, dim)[:rows, :cols], formed from the kept columns alone.
+
+    With K the truncated generator and rho >= |K| (twice its largest
+    coupling), exp(K) = J_0(rho) W_0 + 2 sum_k J_k(rho) W_k for the real
+    W_k = i^k T_k(-iK/rho), which follow W_{k+1} = (2/rho) K W_k + W_{k-1}
+    from W_0 = 1 and W_1 = K/rho.  The kept columns of both parity chains
+    step together in one (chain site, parity, column) array, ~rho steps of
+    elementwise products with the couplings: no BLAS call and so no BLAS
+    worker thread, where a dense ``eigh`` above 32 sites wakes one.
+    """
+    t = _squeeze_couplings(r, dim)
+    rho = 2.0 * float(np.abs(t).max(initial=0.0))
+    if rho == 0.0:
+        return np.eye(rows, cols)
+    coef = 2.0 * _bessel_j(rho)
+    sites, width = (dim + 1) // 2, (cols + 1) // 2
+    step = np.zeros((sites - 1, 2, width))  # (2 / rho) t per chain; the odd one may end early
+    prev = np.zeros((sites, 2, width))
+    for parity in range(2):
+        step[: len(t[parity::2]), parity] = (2.0 / rho) * t[parity::2, None]
+        n = (cols + 1 - parity) // 2
+        prev[np.arange(n), parity, np.arange(n)] = 1.0
+    cur = np.zeros_like(prev)
+    cur[1:] = 0.5 * step * prev[:-1]
+    cur[:-1] -= 0.5 * step * prev[1:]
+    acc = 0.5 * coef[0] * prev + (coef[1] if len(coef) > 1 else 0.0) * cur
+    hop, term = np.empty_like(step), np.empty_like(prev)
+    for c in coef[2:]:
+        # prev becomes W_{k+1} = (2/rho) K W_k + W_{k-1}; K[m+2, m] = t[m] = -K[m, m+2]
+        np.multiply(step, cur[:-1], out=hop)
+        prev[1:] += hop
+        np.multiply(step, cur[1:], out=hop)
+        prev[:-1] -= hop
+        acc += np.multiply(prev, c, out=term)
+        prev, cur = cur, prev
+    u = np.zeros((rows, cols))
+    for parity in range(2):
+        u[parity::2, parity::2] = acc[: (rows + 1 - parity) // 2, parity, : (cols + 1 - parity) // 2]
+    return u
+
+
+@lru_cache(maxsize=1)  # validate asks for the same block under H0 and under H1
+def squeeze_operator(r: float, dim_out: int, dim_in: int) -> np.ndarray:
+    """Single-mode squeezer block <m|exp((r/2)(a^dag^2 - a^2))|n>, read-only.
+
+    The block is that of :func:`squeeze_exponential` evaluated in a
     working space large enough that amplitude pushed past ``dim_out`` is
     genuinely lost rather than folded back into the kept block.  The space
     is at least twice the block and grows linearly with the gain e^|r|, as
     the squeezed phase-space extent does; that holds every element to
     1e-12 (measured against a much wider space for blocks up to 108 x 60,
-    gains up to 10).  The space is dense, so a gain that needs more than
-    ``MAX_SQUEEZE_WORK`` raises :class:`SqueezerTooLarge` before anything
-    is built.
+    gains up to 10).  Only the kept columns are formed (:func:`_squeeze_block`),
+    at a cost of ~(work * |r|) steps over work x dim_in entries, so a gain
+    that needs more than ``MAX_SQUEEZE_WORK`` raises :class:`SqueezerTooLarge`
+    before anything is built.
     """
     gain = math.exp(abs(r))
     extent = (math.sqrt(dim_out) + math.sqrt(dim_in)) ** 2
@@ -169,7 +240,9 @@ def squeeze_operator(r: float, dim_out: int, dim_in: int) -> np.ndarray:
         raise SqueezerTooLarge(
             f"gain {gain:g} needs a {work}-dim squeezer working space for a "
             f"{dim_out} x {dim_in} block, above the limit of {MAX_SQUEEZE_WORK}")
-    return squeeze_exponential(r, work, dim_out, dim_in)
+    u = _squeeze_block(r, work, dim_out, dim_in)
+    u.flags.writeable = False
+    return u
 
 
 # One stack per (kappa, box): an H1 call reads it once, and at dim 60 it
@@ -214,7 +287,9 @@ def _signal_idler_amplitudes(p: ScenarioParams, dims: _WorkDims) -> np.ndarray:
     psi = tmsv_state(p.n_s, dims.signal)
     if p.gain.linear == 1.0:
         return np.pad(psi, ((0, 0), (0, dims.idler - dims.signal)))
-    return psi @ squeeze_operator(math.log(p.gain.linear), dims.idler, dims.signal).T
+    # psi is diagonal: the amplifier scales column s of the squeezer block by psi[s, s]
+    squeezer = squeeze_operator(math.log(p.gain.linear), dims.idler, dims.signal)
+    return psi.diagonal()[:, None] * squeezer.T
 
 
 def _sector_tables(theta: float, n_top: int, rows: int, cols: int) -> np.ndarray:

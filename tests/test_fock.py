@@ -10,9 +10,11 @@ from qillum.fock import (
     LEAKAGE_WARNING_THRESHOLD,
     MAX_SQUEEZE_WORK,
     SqueezerTooLarge,
+    _bessel_j,
     _bs_sector_unitary,
     _expm_chain,
     _signal_idler_amplitudes,
+    _squeeze_block,
     _work_dims,
     receiver_count_moments,
     squeeze_exponential,
@@ -184,12 +186,48 @@ class TestBuildingBlocks:
         assert np.abs(squeeze_operator(r, dim_out, dim_in) - reference).max() < 1e-12
 
     def test_squeeze_operator_refuses_a_working_space_past_the_cap(self, monkeypatch):
-        def build(r, dim):
+        def build(r, dim, rows, cols):
             raise AssertionError(f"built a {dim}-dim squeezer")
 
-        monkeypatch.setattr("qillum.fock.squeeze_exponential", build)
+        monkeypatch.setattr("qillum.fock._squeeze_block", build)
         with pytest.raises(SqueezerTooLarge, match=f"limit of {MAX_SQUEEZE_WORK}"):
             squeeze_operator(math.log(1000.0), 78, 30)
+
+    @pytest.mark.parametrize("r", [0.0, math.log(1.1), math.log(2.0), -math.log(2.0),
+                                   math.log(10.0), math.log(31.6)])
+    @pytest.mark.parametrize("dim, rows, cols", [(3, 3, 1), (60, 31, 17), (216, 108, 60)])
+    def test_squeeze_block_is_the_dense_exponential_cut(self, r, dim, rows, cols):
+        # odd and even block edges, both signs of r, and r = 0 (the identity)
+        reference = squeeze_exponential(r, dim)[:rows, :cols]
+        assert np.abs(_squeeze_block(r, dim, rows, cols) - reference).max() < 1e-13
+
+    def test_validate_builds_one_read_only_squeezer_block(self):
+        p = params(0.3, 0.5, 0.2, 1.7)
+        squeeze_operator.cache_clear()
+        for present in (False, True):
+            receiver_count_moments(p, 12, present)
+        info = squeeze_operator.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not squeeze_operator(math.log(1.7), 60, 12).flags.writeable
+
+    def test_oracle_makes_no_dense_eigensolve(self, monkeypatch):
+        # a LAPACK eigh above 32 sites wakes the BLAS worker threads, which
+        # then spin past the call; the oracle's path must not make one
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh on the oracle's path")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        squeeze_operator.cache_clear()
+        for present in (False, True):
+            receiver_count_moments(params(0.2, 0.5, 0.3, 2.0), 30, present)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.7, 12.0, 164.0, 400.0])
+    def test_bessel_coefficients_against_50_digits(self, x):
+        j = _bessel_j(x)
+        with mpmath.workdps(50):
+            reference = np.array([float(mpmath.besselj(k, x)) for k in range(len(j) + 5)])
+        assert np.abs(j - reference[: len(j)]).max() < 1e-15
+        assert np.abs(reference[len(j):]).max() < 1e-17
 
 
 class TestExponentialsAgainstExpm:
