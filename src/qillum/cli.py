@@ -1,9 +1,11 @@
 """Command-line front end: single-point reports, parameter sweeps,
 figure-data generation, oracle validation and Monte Carlo runs.
 
-All numeric output uses shortest-round-trip decimal formatting, so values
-parse back bit-identically; CSV is locale-independent with one header row
-and deterministic ordering.  Exit codes: 0 success, 2 argument error,
+Each call builds the flags of the command it invokes only.  All numeric
+output uses shortest-round-trip decimal formatting, so values parse back
+bit-identically; CSV is written a column at a time, locale-independent,
+with one header row, deterministic ordering and no quoting (no cell holds
+a comma, quote or line break).  Exit codes: 0 success, 2 argument error,
 1 numerical-domain error or an unwritable ``--output``.
 """
 
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -74,13 +75,11 @@ def _arg(*flags, **options) -> tuple:
     return flags, options
 
 
-def _add_command(sub, name: str, func, summary: str, fmt: str, scenario: dict,
-                 *own: tuple) -> None:
-    """Add subcommand ``name``: the scenario flags ``scenario`` names, with
-    its defaults; the two gain flags if it names ``gain``; the command's
-    ``own`` arguments (from :func:`_arg`); then ``--format`` and ``--output``.
+def _add_flags(parser, func, fmt: str, scenario: dict, own: tuple) -> None:
+    """Give ``parser`` the scenario flags ``scenario`` names, with its
+    defaults; the two gain flags if it names ``gain``; the command's ``own``
+    arguments (from :func:`_arg`); then ``--format`` and ``--output``.
     Every help text states the default the command really uses."""
-    parser = sub.add_parser(name, help=summary)
     for flag, default in scenario.items():
         if flag in _SCENARIO_FLAGS:
             text, kind = _SCENARIO_FLAGS[flag]
@@ -133,10 +132,10 @@ def _emit(rows: list[dict], args) -> None:
             json.dump(payload[0] if len(payload) == 1 else payload, out, indent=2)
             out.write("\n")
         else:
-            writer = csv.writer(out)
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row.values()])
+            keys = list(rows[0])  # float.__repr__ is _fmt's float branch, minus its calls
+            cells = [map(float.__repr__ if set(map(type, col)) == {float} else _fmt, col)
+                     for col in ([row[k] for row in rows] for k in keys)]
+            out.write("".join(",".join(line) + "\r\n" for line in [keys, *zip(*cells)]))
 
 
 def _relative_deviation(a: float, b: float) -> float:
@@ -210,13 +209,9 @@ def _cmd_ppt(args) -> list[dict]:
     if not math.isfinite(args.ns) or args.ns < 0:
         raise ValueError(f"--ns must be finite and >= 0, got {args.ns}")
     value = min_ppt_symplectic_eigenvalue(amplify_mode(tmsv_covariance(args.ns), 2, gain))
-    return [{
-        "n_s": args.ns,
-        "gain": gain.linear,
-        "gain_db": gain.db,
-        "min_ppt_symplectic_eigenvalue": value,
-        "verdict": "NONSEPARABLE" if value < 0.5 else "SEPARABLE",
-    }]
+    return [{"n_s": args.ns, "gain": gain.linear, "gain_db": gain.db,
+             "min_ppt_symplectic_eigenvalue": value,
+             "verdict": "NONSEPARABLE" if value < 0.5 else "SEPARABLE"}]
 
 
 def _cmd_validate(args) -> list[dict]:
@@ -255,42 +250,46 @@ def _cmd_simulate(args) -> list[dict]:
              "p_error_analytic": illumination.detection_report(p).p_error}]
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each command: handler, summary, default format, scenario flags, own arguments.
+_COMMANDS = {
+    "report": (_cmd_report, "detection report for one scenario", "json", _SCENARIO, ()),
+    "sweep": (_cmd_sweep, "sweep one parameter, emit per-point metrics", "csv", _SCENARIO, (
+        _arg("--param", required=True, choices=_SWEEPABLE, help="which parameter to sweep"),
+        _arg("--from", dest="start", type=float, required=True, help="first swept value"),
+        _arg("--to", dest="stop", type=float, required=True, help="last swept value"),
+        _arg("--points", type=int, default=50, help="point count (default %(default)s)"),
+        _arg("--spacing", choices=("linear", "log"), default="linear",
+             help="point spacing (default %(default)s)"))),
+    "figure": (_cmd_figure, "emit reference curve data", "csv", {}, (
+        _arg("which", choices=("gain-prefactor", "snr-ratio")),
+        _arg("--points", type=int, default=301, help="point count (default %(default)s)"))),
+    "ppt": (_cmd_ppt, "partial-transpose separability test of the probe", "json",
+            {"ns": None, "gain": _SCENARIO["gain"]}, ()),
+    "validate": (_cmd_validate, "compare the Gaussian pipeline with the number-basis oracle",
+                 "json", {"ns": 0.1, "nb": 0.5, "kappa": 0.1, "gain": 2.0}, (
+        _arg("--dim", type=int, default=30,
+             help="per-mode truncation dimension (default %(default)s)"),)),
+    "simulate": (_cmd_simulate, "Monte Carlo estimate of the error probability", "json",
+                 _SCENARIO, (
+        _arg("--trials", type=int, default=100_000,
+             help="trials per hypothesis (default %(default)s)"),
+        _arg("--seed", type=int, default=1, help="reproducibility seed (default %(default)s)"))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qillum`` parser: every command by name and summary, with the
+    flags of ``command`` alone, or of every command when it is None."""
     parser = argparse.ArgumentParser(
         prog="qillum",
         description="Entangled-probe target detection with an amplified idler: "
                     "reports, sweeps, figure data, oracle validation, Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_command(sub, "report", _cmd_report, "detection report for one scenario",
-                 "json", _SCENARIO)
-    _add_command(sub, "sweep", _cmd_sweep, "sweep one parameter, emit per-point metrics",
-                 "csv", _SCENARIO,
-                 _arg("--param", required=True, choices=_SWEEPABLE,
-                      help="which parameter to sweep"),
-                 _arg("--from", dest="start", type=float, required=True,
-                      help="first swept value"),
-                 _arg("--to", dest="stop", type=float, required=True, help="last swept value"),
-                 _arg("--points", type=int, default=50, help="point count (default %(default)s)"),
-                 _arg("--spacing", choices=("linear", "log"), default="linear",
-                      help="point spacing (default %(default)s)"))
-    _add_command(sub, "figure", _cmd_figure, "emit reference curve data", "csv", {},
-                 _arg("which", choices=("gain-prefactor", "snr-ratio")),
-                 _arg("--points", type=int, default=301,
-                      help="point count (default %(default)s)"))
-    _add_command(sub, "ppt", _cmd_ppt, "partial-transpose separability test of the probe",
-                 "json", {"ns": None, "gain": _SCENARIO["gain"]})
-    _add_command(sub, "validate", _cmd_validate,
-                 "compare the Gaussian pipeline with the number-basis oracle",
-                 "json", {"ns": 0.1, "nb": 0.5, "kappa": 0.1, "gain": 2.0},
-                 _arg("--dim", type=int, default=30,
-                      help="per-mode truncation dimension (default %(default)s)"))
-    _add_command(sub, "simulate", _cmd_simulate, "Monte Carlo estimate of the error probability",
-                 "json", _SCENARIO,
-                 _arg("--trials", type=int, default=100_000,
-                      help="trials per hypothesis (default %(default)s)"),
-                 _arg("--seed", type=int, default=1,
-                      help="reproducibility seed (default %(default)s)"))
+    for name, (func, summary, fmt, scenario, own) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            _add_flags(subparser, func, fmt, scenario, own)
     return parser
 
 
@@ -299,7 +298,8 @@ def main(argv=None) -> int:
     argparse cannot see, 1 for any other ``ValueError`` and for an
     ``OSError`` (an unwritable ``--output``), each with one ``error:`` line
     on stderr."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         _emit(args.func(args), args)
     except (ValueError, OSError) as exc:

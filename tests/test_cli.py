@@ -1,23 +1,33 @@
+import argparse
 import ast
+import contextlib
 import csv
 import importlib
 import io
 import json
 import math
 import os
+import pathlib
 import pkgutil
 import re
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qillum
+from qillum import cli
 from qillum.cli import SweepSpec, build_parser, main
 from qillum.fock import LEAKAGE_WARNING_THRESHOLD
 from qillum.gaussian import GainSpec
-from qillum.illumination import ScenarioParams, detection_report, per_mode_count_stats
+from qillum.illumination import Regime, ScenarioParams, detection_report, per_mode_count_stats
+
+GOLDEN_CALLS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())["calls"]
 
 #: One grid per sweepable parameter, around the default scenario.
 PINNED_SWEEPS = [
@@ -265,25 +275,26 @@ class TestBrightInputs:
         assert spread <= 5.0 * payload["std_error"]
 
 
-def _fresh_interpreter(code):
+def _fresh_interpreter(*args, **env):
+    """Run ``python *args`` on this checkout's qillum, with ``env`` added to
+    the environment; stdout and stderr are bytes, so line ends stay as written."""
     src = os.path.dirname(os.path.dirname(qillum.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
 
 
 class TestImportPath:
     def test_cli_import_leaves_scipy_out(self):
         proc = _fresh_interpreter(
-            "import qillum, qillum.cli, sys; assert 'scipy' not in sys.modules; "
+            "-c", "import qillum, qillum.cli, sys; assert 'scipy' not in sys.modules; "
             "assert callable(qillum.receiver_count_moments)")
         assert proc.returncode == 0, proc.stderr
 
     def test_validate_leaves_scipy_out(self):
         # the number-basis oracle runs on numpy alone
         proc = _fresh_interpreter(
-            "import sys; from qillum.cli import main; "
+            "-c", "import sys; from qillum.cli import main; "
             "assert main(['validate', '--dim', '8']) == 0; "
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
         assert proc.returncode == 0, proc.stderr
@@ -303,6 +314,17 @@ class TestImportPath:
         assert "receiver_count_moments" in names and "receiver_stats" in names
         assert [n for n in names if not hasattr(qillum, n)] == []
         assert not hasattr(qillum, "__getattr__")
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [["report", "--ns", "0.01"], ["--help"],
+                                      ["report", "--ns", "1", "--bogus"]], ids=" ".join)
+    def test_python_m_qillum_matches_its_golden_record(self, argv):
+        # main(None) reads sys.argv itself; no in-process call takes that path
+        case = next(case for case in GOLDEN_CALLS if case["argv"] == argv)
+        proc = _fresh_interpreter("-m", "qillum", *argv, COLUMNS="80")
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            case["code"], case["stdout"], case["stderr"])
 
 
 class TestValidate:
@@ -416,6 +438,30 @@ REQUIRED_ARGV = {
     "simulate": ["--ns", "1"],
 }
 
+#: An argv per subcommand that sets every flag it has.  Of the exclusive gain
+#: pair it sets ``--gain-db`` in report, sweep and validate, ``--gain`` in ppt
+#: and simulate.
+FULL_ARGV = {
+    "report": ["--ns", "0.3", "--nb", "2", "--kappa", "0.05", "--modes", "7", "--gain-db", "9",
+               "--format", "csv", "--output", "r.csv"],
+    "sweep": ["--ns", "0.2", "--nb", "3", "--kappa", "0.01", "--modes", "11", "--gain-db", "12",
+              "--param", "n_b", "--from", "0.1", "--to", "10", "--points", "9",
+              "--spacing", "log", "--format", "json", "--output", "s.json"],
+    "figure": ["gain-prefactor", "--points", "5", "--format", "json", "--output", "f.json"],
+    "ppt": ["--ns", "2", "--gain", "3", "--format", "csv", "--output", "p.csv"],
+    "validate": ["--ns", "0.2", "--nb", "0.1", "--kappa", "0.3", "--gain-db", "3", "--dim", "12",
+                 "--format", "csv", "--output", "v.csv"],
+    "simulate": ["--ns", "1", "--nb", "3", "--kappa", "0.2", "--modes", "50", "--gain", "4",
+                 "--trials", "99", "--seed", "5", "--format", "csv", "--output", "m.csv"],
+}
+
+
+def _command_flags(parser: argparse.ArgumentParser) -> dict:
+    """Each registered command's option strings and positional names."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in command._actions for s in a.option_strings or [a.dest]}
+            for name, command in sub.choices.items()}
+
 
 class TestFlags:
     @pytest.mark.parametrize("command", REQUIRED_ARGV)
@@ -438,6 +484,49 @@ class TestFlags:
                 assert stated is not None, f"{command} {flag} hides its default"
                 assert stated.group(1) == str(parsed[dest]), flag
         assert dests == set(parsed) - {"command", "func", "which"}
+
+    @pytest.mark.parametrize("argv", ["required", "full"])
+    @pytest.mark.parametrize("command", REQUIRED_ARGV)
+    def test_command_parser_parses_as_the_full_parser(self, command, argv):
+        argv = [command, *(REQUIRED_ARGV if argv == "required" else FULL_ARGV)[command]]
+        flags = _command_flags(build_parser(command))
+        assert set(flags) == set(REQUIRED_ARGV)  # every name stays registered
+        assert {name for name, own in flags.items() if own != {"-h", "--help"}} == {command}
+        if argv[1:] == FULL_ARGV[command]:  # all but the unset one of the gain pair
+            unset = flags[command] - {"-h", "--help", "which", *argv}
+            assert unset in (set(), {"--gain"}, {"--gain-db"})
+        assert (vars(build_parser(command).parse_args(argv))
+                == vars(build_parser().parse_args(argv)))
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--bogus", "report"],
+                                      ["--format", "csv", "report", "--ns", "1"]], ids=repr)
+    def test_main_builds_every_flag_unless_argv_starts_with_a_command(
+            self, monkeypatch, capsys, argv):
+        built = []
+
+        def spy(*command):
+            built.append(build_parser(*command))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        with pytest.raises(SystemExit):
+            main(argv)
+        every = {name: _command_flags(build_parser(name))[name] for name in REQUIRED_ARGV}
+        assert [_command_flags(parser) for parser in built] == [every]
+
+    def test_main_builds_the_invoked_commands_flags_from_sys_argv(self, monkeypatch, capsys):
+        built = []
+
+        def spy(*command):
+            built.append(command)
+            return build_parser(*command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(sys, "argv", ["qillum", "report", "--ns", "1"])
+        assert main() == 0
+        from_sys_argv = capsys.readouterr()
+        assert run_cli(capsys, "report", "--ns", "1") == (0, *from_sys_argv)
+        assert built == [("report",), ("report",)]
 
     def test_validate_takes_no_modes(self, capsys):
         # the oracle compares one mode pair; a mode count would change nothing
@@ -471,3 +560,76 @@ class TestOutputFile:
                                  "--from", "0.1", "--to", "1", "--output", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: [Errno 21] Is a directory: ") and err.count("\n") == 1
+
+
+def _reference_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_csv(rows: list[dict]) -> str:
+    """The cell-by-cell route ``_emit`` took before it wrote by column:
+    ``csv.writer`` over each cell's shortest round-trip text."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow([_reference_cell(v) for v in row.values()])
+    return out.getvalue()
+
+
+def emitted_csv(rows: list[dict]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(rows, argparse.Namespace(format="csv", output=None))
+    return out.getvalue()
+
+
+LABELS = [regime.value for regime in Regime] + ["NONSEPARABLE", "SEPARABLE"]
+CELLS = {
+    "float": st.one_of(st.sampled_from([
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3,
+        1e16, 9.999999999999999e-05]), st.floats()),
+    "int": st.one_of(st.sampled_from([2**63, 2**64 + 1, -2**63 - 1]), st.integers()),
+    "bool": st.booleans(),
+    "label": st.sampled_from(LABELS),
+}
+CELLS["mixed"] = st.one_of(*CELLS.values(), st.floats().map(np.float64))
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
+    return [{f"{kind}_{i}": draw(CELLS[kind]) for i, kind in enumerate(kinds)}
+            for _ in range(draw(st.integers(1, 12)))]
+
+
+#: Calls whose rows cover every command, both figures and every regime.
+ROW_ARGV = [
+    ["report", "--ns", "0.01"], ["report", "--ns", "1e9", "--gain-db", "30"],
+    *(["sweep", *argv] for argv in PINNED_SWEEPS),
+    ["figure", "gain-prefactor"], ["figure", "snr-ratio"],
+    ["ppt", "--ns", "1", "--gain-db", "12"], ["ppt", "--ns", "0", "--gain", "1"],
+    ["validate", "--dim", "8"],
+    ["simulate", "--ns", "1", "--trials", "1000"],
+]
+
+
+class TestCsv:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=tables())
+    def test_by_column_equals_the_csv_writer_route(self, rows):
+        assert emitted_csv(rows) == reference_csv(rows)
+
+    @pytest.mark.parametrize("argv", ROW_ARGV, ids=" ".join)
+    def test_no_cell_needs_quoting(self, argv):
+        # CSV is written unquoted, so no header or cell may hold a delimiter,
+        # a quote or a line break
+        args = build_parser().parse_args(argv)
+        rows = args.func(args)
+        cells = {*rows[0], *(_reference_cell(v) for row in rows for v in row.values())}
+        assert not [cell for cell in cells if re.search(r'[,"\r\n]', cell)]
+        assert emitted_csv(rows) == reference_csv(rows)

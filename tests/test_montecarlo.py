@@ -77,3 +77,22 @@ class TestEstimate:
             TrialConfig(params=params(**base, modes=800), trials=200_000, seed=7)
         )
         assert est_2m.p_error < est_m.p_error
+
+    def test_error_counts_scatter_like_a_binomial_over_seeds(self):
+        # The bright scenario of one perfbench simulate op whose seed read
+        # 5.1 sigma high at 1e6 trials.  Across 40 fixed seeds, that seed
+        # among them, the z-scores against the analytic error probability
+        # must look standard: an error count that depended on the seed's
+        # value, not only on its draws, would shift or widen them.
+        p = ScenarioParams(n_s=2.3990463022344715, n_b=0.5950083559355803,
+                           kappa=0.8182604853545734, gain=GainSpec.from_db(4.48709438232234),
+                           modes=159)
+        analytic = detection_report(p).p_error
+        trials = 100_000
+        sigma = math.sqrt(analytic * (1.0 - analytic) / (2.0 * trials))
+        z = [(estimate_error_probability(TrialConfig(params=p, trials=trials, seed=seed)).p_error
+              - analytic) / sigma for seed in [3692670939, *range(1, 40)]]
+        mean = sum(z) / len(z)
+        sd = math.sqrt(sum((x - mean) ** 2 for x in z) / (len(z) - 1))
+        assert abs(mean) <= 0.5
+        assert 0.6 <= sd <= 1.5
