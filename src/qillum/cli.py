@@ -246,8 +246,7 @@ def _cmd_simulate(args) -> list[dict]:
     return [{**_echo(p), "modes": p.modes, "trials": estimate.trials, "seed": args.seed,
              "threshold": estimate.threshold, "p_error_empirical": estimate.p_error,
              "std_error": estimate.std_error, "false_alarms": estimate.false_alarms,
-             "misses": estimate.misses,
-             "p_error_analytic": illumination.detection_report(p).p_error}]
+             "misses": estimate.misses, "p_error_analytic": estimate.p_error_analytic}]
 
 
 #: Each command: handler, summary, default format, scenario flags, own arguments.

@@ -4,13 +4,16 @@ Samples the receiver's total count difference under both hypotheses from
 its Gaussian law (the only sampling mode in scope: per-mode counts are
 non-Gaussian and live in the Fock oracle instead), applies the analytic
 decision threshold, and reports the empirical error rate with its
-binomial standard error.  Streams are counter-based so results are
-byte-identical for a given seed regardless of how work is scheduled.
+binomial standard error.  Streams are counter-based and drawn in parallel
+on every CPU in the process's affinity mask; results are byte-identical for
+a given seed on any machine and under any scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +26,8 @@ __all__ = [
     "estimate_error_probability",
 ]
 
-#: Trials per substream; results do not depend on this being reached
-#: in parallel or serially because each shard owns its own Philox key.
+#: Trials per shard.  Each shard owns its own Philox key, so shards are
+#: drawn in parallel and the counts do not depend on which thread drew which.
 SHARD_SIZE = 1 << 16
 
 
@@ -44,7 +47,8 @@ class TrialConfig:
 @dataclass(frozen=True)
 class ErrorProbabilityEstimate:
     """Empirical equal-prior error probability and its binomial standard
-    error, with the raw per-hypothesis error counts."""
+    error, with the raw per-hypothesis error counts, the threshold applied
+    and the analytic error probability it is checked against."""
 
     p_error: float
     std_error: float
@@ -52,30 +56,54 @@ class ErrorProbabilityEstimate:
     misses: int
     trials: int
     threshold: float
+    p_error_analytic: float
 
 
-def _count_errors(
-    seed: int, stream: int, trials: int, loc: float, scale: float,
-    threshold: float, declare_above: bool,
-) -> int:
-    """Errors among ``trials`` Gaussian draws from substreams of one stream.
+def _shard_errors(seed: int, stream: int, shard: int, take: int, threshold: float,
+                  loc: float, scale: float, declare_above: bool) -> int:
+    """Errors among the ``take`` draws of one shard, keyed (seed, 2*shard + stream)."""
+    key = np.array([seed, 2 * shard + stream], dtype=np.uint64)
+    above = np.random.Generator(np.random.Philox(key=key)).normal(loc, scale, take) > threshold
+    return int(np.count_nonzero(above if declare_above else ~above))
 
-    Substream ``k`` of stream ``s`` uses Philox key (seed, 2k + s), so the
-    draw sequence is a pure function of (seed, stream, trials).
-    """
-    errors = 0
-    drawn = 0
-    shard = 0
-    while drawn < trials:
-        take = min(SHARD_SIZE, trials - drawn)
-        key = np.array([seed, 2 * shard + stream], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        samples = rng.normal(loc, scale, take)
-        above = samples > threshold
-        errors += int(np.count_nonzero(above if declare_above else ~above))
-        drawn += take
-        shard += 1
-    return errors
+
+def _count_errors(seed: int, trials: int, threshold: float, streams: list) -> list[int]:
+    """Errors among ``trials`` draws from each stream ``(loc, scale, declare_above)``.
+
+    Shards are handed out under a lock to the caller and one more thread per
+    further usable CPU (numpy draws without the GIL).  A failed shard stops
+    the rest; its exception is raised here once every thread has ended."""
+    shards = -(-trials // SHARD_SIZE)
+    jobs = [(seed, s, k, min(SHARD_SIZE, trials - k * SHARD_SIZE), threshold, *stream)
+            for s, stream in enumerate(streams) for k in range(shards)]
+    errors = [0] * len(jobs)
+    pending, lock, failures = iter(range(len(jobs))), threading.Lock(), []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    i = None if failures else next(pending, None)
+                if i is None:
+                    return
+                errors[i] = _shard_errors(*jobs[i])
+        except BaseException as exc:
+            failures.append(exc)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = []
+    try:
+        for _ in range(min(cpus or 1, len(jobs)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return [sum(errors[s * shards:(s + 1) * shards]) for s in range(len(streams))]
 
 
 def estimate_error_probability(cfg: TrialConfig) -> ErrorProbabilityEstimate:
@@ -87,16 +115,12 @@ def estimate_error_probability(cfg: TrialConfig) -> ErrorProbabilityEstimate:
     """
     p = cfg.params
     s0, s1 = per_mode_count_stats(p)
-    threshold = detection_report(p).threshold
+    report = detection_report(p)
     m = p.modes
-    false_alarms = _count_errors(
-        cfg.seed, 0, cfg.trials, m * s0.mean, math.sqrt(m * s0.variance),
-        threshold, declare_above=True,
-    )
-    misses = _count_errors(
-        cfg.seed, 1, cfg.trials, m * s1.mean, math.sqrt(m * s1.variance),
-        threshold, declare_above=False,
-    )
+    false_alarms, misses = _count_errors(cfg.seed, cfg.trials, report.threshold, [
+        (m * s0.mean, math.sqrt(m * s0.variance), True),
+        (m * s1.mean, math.sqrt(m * s1.variance), False),
+    ])
     p_error = (false_alarms + misses) / (2.0 * cfg.trials)
     std_error = math.sqrt(p_error * (1.0 - p_error) / (2.0 * cfg.trials))
     return ErrorProbabilityEstimate(
@@ -105,5 +129,6 @@ def estimate_error_probability(cfg: TrialConfig) -> ErrorProbabilityEstimate:
         false_alarms=false_alarms,
         misses=misses,
         trials=cfg.trials,
-        threshold=threshold,
+        threshold=report.threshold,
+        p_error_analytic=report.p_error,
     )

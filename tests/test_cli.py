@@ -291,6 +291,14 @@ class TestImportPath:
             "assert callable(qillum.receiver_count_moments)")
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_import_loads_no_pool_module(self):
+        # the Monte Carlo starts its threads with threading, which numpy loads
+        # anyway; either pool module would add its import to every command
+        proc = _fresh_interpreter(
+            "-c", "import qillum.cli, sys; "
+            "assert {'concurrent.futures', 'multiprocessing'}.isdisjoint(sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+
     def test_validate_leaves_scipy_out(self):
         # the number-basis oracle runs on numpy alone
         proc = _fresh_interpreter(
