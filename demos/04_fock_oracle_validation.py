@@ -3,8 +3,9 @@
 Every command reports photon-count statistics from one closed form,
 derived by Gaussian moment factorization; it is only as trustworthy as
 that factorization.  The number-basis oracle rebuilds the same receiver
-state explicitly -- Schmidt amplitudes, an exponentiated squeezer, a
-traced-out thermal ancilla -- and evaluates the count moments exactly as
+state explicitly -- Schmidt weights, the amplified idler through the
+squeezer's Heisenberg relation, a traced-out thermal ancilla, exact
+beam-splitter sectors -- and evaluates the count moments exactly as
 sums over photon-number pairs.  At small occupation numbers the two
 routes must agree; the closed form is uniform in the parameters, so this
 validates it everywhere.
