@@ -19,6 +19,7 @@ from qillum.gaussian import (
     GainSpec,
     amplify_mode,
     balanced_beam_splitter,
+    cross_correlations,
     min_ppt_symplectic_eigenvalue,
     tmsv_covariance,
 )
@@ -252,6 +253,27 @@ class TestBuildingBlocks:
         reference = idler_sums_of(amps[:, None] * squeeze_exponential(math.log(g), 1000)[:, :30].T)
         np.testing.assert_allclose(_idler_sums(p, 30), reference, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("g", [1.0, 1.5, 4.0, 31.6, 1000.0])
+    @pytest.mark.parametrize("ns", [0.01, 0.1, 0.5])
+    def test_idler_sums_carry_the_amplified_tmsv_moments(self, ns, g):
+        # the covariance route's amplified two-mode squeezed vacuum: summed
+        # over the branches, the rows give 1, <a_I a_I^dag>, <a_I^dag a_I>,
+        # 2 <a_S^dag a_I> (weight sqrt(s)) and 2 <a_S^dag^2 a_I^2> (weight
+        # sqrt(s (s - 1))), which Wick's theorem puts at 2 <a_S^dag a_I>^2
+        dim = 80
+        s = np.arange(float(dim))
+        sums = _idler_sums(params(ns, 0.0, 0.0, g), dim)
+        state = amplify_mode(tmsv_covariance(ns), 2, GainSpec(g))
+        n_idler = state.mode_photon_numbers[1]
+        picc = cross_correlations(state).picc
+        assert picc.imag == 0.0
+        assert sums[0].sum() == pytest.approx(1.0, rel=1e-14)
+        assert sums[1].sum() == pytest.approx(n_idler + 1.0, rel=1e-12)
+        assert sums[2].sum() == pytest.approx(n_idler, rel=1e-12)
+        assert np.sqrt(s) @ sums[3] / 2.0 == pytest.approx(picc.real, rel=1e-12)
+        assert np.sqrt(s * (s - 1.0)) @ sums[4] / 2.0 == pytest.approx(
+            2.0 * picc.real**2, rel=1e-12)
+
     def test_squeezer_is_unitary_on_truncated_generator(self):
         u = squeeze_exponential(math.log(2.0), 30)
         assert np.linalg.norm(u.T @ u - np.eye(30)) < 1e-8
@@ -427,6 +449,19 @@ class TestCountMoments:
         assert leakage < 1e-6
         assert oracle.mean == pytest.approx(gauss.mean, rel=1e-6)
         assert oracle.variance == pytest.approx(gauss.variance, rel=1e-6)
+
+    @pytest.mark.parametrize("present", [False, True])
+    @pytest.mark.parametrize("ns, nb, kappa", [(0.01, 0.1, 0.01), (0.1, 0.5, 0.1)])
+    @pytest.mark.parametrize("g", [3.0, 10.0, 100.0, 1000.0])
+    def test_matches_gaussian_pipeline_at_high_gain(self, g, ns, nb, kappa, present):
+        # the idler needs no box, so the dim-30 oracle holds at any gain; the
+        # covariance route rounds its variance at ~G^2 * 1e-16 (5e-11 at G = 1000)
+        p = params(ns, nb, kappa, g)
+        gauss = gaussian_receiver_stats(p, present)
+        oracle, leakage = receiver_count_moments(p, 30, present)
+        assert leakage < 1e-15
+        assert oracle.mean == pytest.approx(gauss.mean, rel=1e-11, abs=1e-15)
+        assert oracle.variance == pytest.approx(gauss.variance, rel=1e-9)
 
     def test_confirms_interference_mean_at_unit_brightness(self):
         # closed form sqrt(kappa)*c*(G - 1/G)/2 = 0.21213203...; at n_s = 1 the
