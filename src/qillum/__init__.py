@@ -17,7 +17,6 @@ from .gaussian import (
     balanced_beam_splitter,
     cross_correlations,
     min_ppt_symplectic_eigenvalue,
-    rotate_phase,
     symplectic_eigenvalues,
     tmsv_covariance,
 )

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,16 +55,6 @@ LEAKAGE_WARNING_THRESHOLD = 1e-6
 # Working-space pad beyond the requested dimension for the modes the
 # target splitter mixes.
 _PAD_MIX = 20
-
-
-class _WorkDims(NamedTuple):
-    signal: int
-    received: int
-    ancilla: int
-
-
-def _work_dims(dim: int) -> _WorkDims:
-    return _WorkDims(signal=dim, received=dim + _PAD_MIX, ancilla=dim + _PAD_MIX)
 
 
 def thermal_probabilities(nbar: float, dim: int) -> np.ndarray:
@@ -168,20 +157,19 @@ def receiver_count_moments(
     """
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
-    dims = _work_dims(dim)
-    sums = _idler_sums(p, dims.signal)
+    box = dim + _PAD_MIX  # the received and the ancilla box; the signal box is dim
+    sums = _idler_sums(p, dim)
     occupied, raised, lowered = sums[:3]
     if not target_present:
         # a thermal received mode independent of the idler: X shifts m, so the mean is 0
-        probs = thermal_probabilities(p.n_b, dims.received)
-        m = np.arange(float(dims.received))
+        probs = thermal_probabilities(p.n_b, box)
+        m = np.arange(float(box))
         second = (probs[:-1] @ m[1:]) * lowered.sum() + (probs @ m) * raised.sum()
         return CountStats(0.0, float(second)), max(0.0, 1.0 - float(probs.sum() * occupied.sum()))
     # a weight that underflowed to zero touches no sector
-    probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), dims.ancilla), "b")
-    tables = _sector_tables(math.acos(math.sqrt(p.kappa)), dims.signal + len(probs) - 2,
-                            dims.received, dims.signal)
-    n, s = np.ogrid[: len(probs), : dims.signal]
+    probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), box), "b")
+    tables = _sector_tables(math.acos(math.sqrt(p.kappa)), dim + len(probs) - 2, box, dim)
+    n, s = np.ogrid[: len(probs), : dim]
     trace, down, up, mean, cross = np.einsum(
         "n,kns,ks->k", probs, tables[:, n + s, s], sums).tolist()
     return CountStats(mean=mean, variance=down + up + cross - mean**2), max(0.0, 1.0 - trace)

@@ -10,6 +10,7 @@ mode, mode 2 the retained idler.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "amplify_mode",
     "apply_target_channel",
     "balanced_beam_splitter",
-    "rotate_phase",
     "cross_correlations",
     "min_ppt_symplectic_eigenvalue",
     "random_two_mode_symplectic",
@@ -135,15 +135,6 @@ class TwoModeCovariance:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def mode_photon_numbers(self) -> tuple[float, float]:
-        """Mean photon number of each mode, (V_qq + V_pp - 1)/2."""
-        m = self.matrix
-        return (
-            float((m[0, 0] + m[1, 1] - 1.0) / 2.0),
-            float((m[2, 2] + m[3, 3] - 1.0) / 2.0),
-        )
-
 
 @dataclass(frozen=True)
 class GainSpec:
@@ -181,8 +172,11 @@ def tmsv_covariance(n_s: float) -> TwoModeCovariance:
     The diagonal is nu/2 with nu = 2*n_s + 1; the q-q (p-p) cross entry is
     +c/2 (-c/2) with c = 2*sqrt(n_s*(n_s + 1)).  ``n_s = 0`` is the vacuum.
     """
-    if not (isinstance(n_s, (int, float)) and math.isfinite(n_s)) or n_s < 0:
+    if not isinstance(n_s[()] if isinstance(n_s, np.ndarray) else n_s, numbers.Real):
+        raise ValueError(f"mean photon number must be a real scalar, got {n_s!r}")
+    if not math.isfinite(n_s) or n_s < 0:
         raise ValueError(f"mean photon number must be finite and >= 0, got {n_s}")
+    n_s = float(n_s)
     nu = 2.0 * n_s + 1.0
     c = 2.0 * math.sqrt(n_s * (n_s + 1.0))
     m = 0.5 * np.array(
@@ -249,16 +243,6 @@ def apply_target_channel(
 def balanced_beam_splitter(state: TwoModeCovariance) -> TwoModeCovariance:
     """Combine the two modes on a 50-50 beam splitter."""
     return _congruence(state, _BALANCED_BS)
-
-
-def rotate_phase(state: TwoModeCovariance, theta: float) -> TwoModeCovariance:
-    """Common phase shift a_j -> exp(i*theta) a_j applied to both modes."""
-    c, s = math.cos(theta), math.sin(theta)
-    r = np.array([[c, -s], [s, c]])
-    rot = np.zeros((4, 4))
-    rot[:2, :2] = r
-    rot[2:, 2:] = r
-    return _congruence(state, rot)
 
 
 def cross_correlations(state: TwoModeCovariance) -> CrossCorrelations:

@@ -121,15 +121,6 @@ class RegimeReport:
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def _symbols(p: ScenarioParams) -> tuple[float, float, float, float]:
-    """The recurring combinations (nu, c, omega, gamma)."""
-    nu = 2.0 * p.n_s + 1.0
-    c = 2.0 * np.sqrt(p.n_s * (p.n_s + 1.0))
-    omega = 2.0 * p.n_b + 1.0
-    gamma = 2.0 * p.kappa * p.n_s + omega
-    return nu, c, omega, gamma
-
-
 def hypothesis_covariances(
     p: ScenarioParams,
 ) -> tuple[TwoModeCovariance, TwoModeCovariance]:
@@ -244,7 +235,10 @@ def gain_prefactor(gain: GainSpec) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def snr_qi_closed_form(p: ScenarioParams) -> float:
     """Single-mode-pair SNR of the amplified-idler receiver (closed form)."""
-    nu, c, omega, gamma = _symbols(p)
+    nu = 2.0 * p.n_s + 1.0
+    c = 2.0 * np.sqrt(p.n_s * (p.n_s + 1.0))
+    omega = 2.0 * p.n_b + 1.0
+    gamma = 2.0 * p.kappa * p.n_s + omega
     kc2 = p.kappa * c**2
     denom = (np.sqrt(gamma * nu + kc2) + np.sqrt(nu * omega)) ** 2
     return _item(gain_prefactor(p.gain) * kc2 / denom)

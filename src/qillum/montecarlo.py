@@ -12,6 +12,7 @@ a given seed on any machine and under any scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -38,9 +39,14 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
+        for name, label in (("trials", "trial count"), ("seed", "seed")):
+            value = getattr(self, name)  # a Python or numpy integer, kept as a Python int
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.trials < 1:
             raise ValueError(f"trial count must be a positive integer, got {self.trials}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
 
 

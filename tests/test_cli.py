@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import qillum
 from qillum import cli
-from qillum.cli import SweepSpec, build_parser, main
+from qillum.cli import build_parser, main
 from qillum.fock import LEAKAGE_WARNING_THRESHOLD
 from qillum.gaussian import GainSpec
 from qillum.illumination import Regime, ScenarioParams, detection_report, per_mode_count_stats
@@ -141,18 +141,19 @@ class TestSweep:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         flags = dict(zip(argv[::2], argv[1::2]))
-        spec = SweepSpec(flags["--param"], float(flags["--from"]), float(flags["--to"]),
-                         int(flags["--points"]), flags.get("--spacing", "linear"))
-        assert len(rows) == spec.points
-        for row, value in zip(rows, spec.values().tolist()):
+        param, points = flags["--param"], int(flags["--points"])
+        space = np.geomspace if flags.get("--spacing") == "log" else np.linspace
+        assert len(rows) == points
+        for row, value in zip(rows, space(float(flags["--from"]), float(flags["--to"]),
+                                          points).tolist()):
             point = dict(n_s=float(flags["--ns"]), n_b=100.0, kappa=1e-3, g=10.0 ** 0.75,
                          modes=100)
-            if spec.parameter == "gain_db":
+            if param == "gain_db":
                 point["g"] = 10.0 ** (value / 20.0)
-            elif spec.parameter == "modes":
+            elif param == "modes":
                 value = point["modes"] = max(1, int(round(value)))
             else:
-                point[spec.parameter] = value
+                point[param] = value
             n_s, n_b, kappa = point["n_s"], point["n_b"], point["kappa"]
             csh = kappa * n_s / (4.0 * n_b + 2.0)
             if n_s < 1.0:
@@ -162,10 +163,10 @@ class TestSweep:
             else:
                 regime = "PARITY"
             assert (row["value"], row["snr_csh"], row["regime"]) == (
-                repr(value) if spec.parameter != "modes" else str(value), repr(csh), regime)
+                repr(value) if param != "modes" else str(value), repr(csh), regime)
             report = detection_report(ScenarioParams(
                 n_s=n_s, n_b=n_b, kappa=kappa, gain=GainSpec(point["g"]), modes=point["modes"]))
-            if spec.parameter == "gain_db":  # numpy's pow may round G apart from Python's
+            if param == "gain_db":  # numpy's pow may round G apart from Python's
                 assert float(row["p_error"]) == pytest.approx(report.p_error, rel=1e-13)
             else:
                 assert float(row["p_error"]) == report.p_error
@@ -188,11 +189,22 @@ class TestSweep:
                                  "--from", start, "--to", stop, "--points", "5")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_sweep_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(parameter="bogus", start=1.0, stop=2.0, points=5, spacing="linear")
-        with pytest.raises(ValueError):
-            SweepSpec(parameter="n_s", start=1.0, stop=2.0, points=5, spacing="cubic")
+    @pytest.mark.parametrize("flags", [["--param", "bogus"],
+                                       ["--param", "n_s", "--spacing", "cubic"]],
+                             ids=["param", "spacing"])
+    def test_unknown_parameter_or_spacing_exits_two(self, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--ns", "0.1", "--from", "1", "--to", "2", *flags])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{flags[-1]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start,stop", [("nan", "1"), ("1", "nan")])
+    def test_nan_log_bound_reaches_the_grid_check(self, capsys, start, stop):
+        # NaN <= 0 is false, so the bound check passes it on to the scenario
+        code, out, err = run_cli(capsys, "sweep", "--ns", "0.1", "--param", "n_s", "--from",
+                                 start, "--to", stop, "--points", "5", "--spacing", "log")
+        assert (code, out, err) == (
+            1, "", "error: signal brightness must be finite and >= 0, got nan\n")
 
 
 class TestFigures:

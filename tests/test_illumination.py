@@ -102,6 +102,14 @@ class TestHypothesisCovariances:
         cc = cross_correlations(v0)
         assert cc.picc == 0.0 and cc.pscc == 0.0
 
+    @pytest.mark.parametrize("ns", [np.int64(1), np.float32(0.5), np.array(0.5)], ids=repr)
+    def test_takes_every_brightness_the_scenario_takes(self, ns):
+        # detection_report already accepts these; the covariance route must too
+        p = params(ns=ns)
+        detection_report(p)
+        for v, ref in zip(hypothesis_covariances(p), hypothesis_covariances(params(float(ns)))):
+            assert np.array_equal(v.matrix, ref.matrix)
+
 
 class TestCountDifferenceStats:
     def test_vacuum_counts_nothing(self):

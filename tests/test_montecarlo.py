@@ -57,6 +57,29 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(params=params(), trials=10, seed=2**64)
 
+    @pytest.mark.parametrize("trials,seed", [(np.int64(10), 5), (10, np.uint64(5)),
+                                             (np.int32(10), np.int8(5))], ids=repr)
+    def test_accepts_numpy_integers(self, trials, seed):
+        cfg = TrialConfig(params=params(), trials=trials, seed=seed)
+        assert (cfg.trials, cfg.seed) == (10, 5)
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+        assert estimate_error_probability(cfg) == estimate_error_probability(
+            TrialConfig(params=params(), trials=10, seed=5))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("trials", 10.0, "trial count must be an integer, got 10.0"),
+        ("trials", np.float64(10), f"trial count must be an integer, got {np.float64(10)!r}"),
+        ("trials", "10", "trial count must be an integer, got '10'"),
+        ("seed", 5.0, "seed must be an integer, got 5.0"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("trials", np.int64(0), "trial count must be a positive integer, got 0"),
+        ("seed", np.int64(-1), "seed must be an integer in [0, 2^64), got -1"),
+    ])
+    def test_says_whether_type_or_range_is_wrong(self, field, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            TrialConfig(params=params(), **{"trials": 10, "seed": 5, field: value})
+        assert str(excinfo.value) == message
+
 
 class TestEstimate:
     def test_hidden_target_is_a_coin_flip(self):
