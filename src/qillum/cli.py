@@ -1,7 +1,8 @@
 """Command-line front end: single-point reports, parameter sweeps,
 figure-data generation, oracle validation and Monte Carlo runs.
 
-Each call builds the flags of the command it invokes only.  All numeric
+A call that names a command builds that command's parser alone; top-level
+help, errors and unrecognized arguments build the full one.  All numeric
 output uses shortest-round-trip decimal formatting, so values parse back
 bit-identically; CSV is written a column at a time, locale-independent,
 with one header row, deterministic ordering and no quoting (no cell holds
@@ -47,11 +48,13 @@ def _arg(*flags, **options) -> tuple:
     return flags, options
 
 
-def _add_flags(parser, func, fmt: str, scenario: dict, own: tuple) -> None:
-    """Give ``parser`` the scenario flags ``scenario`` names, with its
-    defaults; the two gain flags if it names ``gain``; the command's ``own``
-    arguments (from :func:`_arg`); then ``--format`` and ``--output``.
-    Every help text states the default the command really uses."""
+def _add_flags(parser, command: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the flags of ``command`` from its ``_COMMANDS`` entry
+    and return it: the scenario flags ``scenario`` names, with its defaults;
+    the two gain flags if it names ``gain``; the ``own`` arguments (from
+    :func:`_arg`); then ``--format`` and ``--output``.  Every help text
+    states the default the command really uses."""
+    func, _, fmt, scenario, own = _COMMANDS[command]
     for flag, default in scenario.items():
         if flag in _SCENARIO_FLAGS:
             text, kind = _SCENARIO_FLAGS[flag]
@@ -71,6 +74,7 @@ def _add_flags(parser, func, fmt: str, scenario: dict, own: tuple) -> None:
     parser.add_argument("--output", metavar="PATH",
                         help="write to PATH instead of standard output")
     parser.set_defaults(func=func)
+    return parser
 
 
 def _gain_from_args(args) -> GainSpec:
@@ -252,18 +256,19 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qillum`` parser: every command by name and summary, with the
-    flags of ``command`` alone, or of every command when it is None."""
+    """The parser of ``command`` alone, as ``qillum`` would build it for
+    that subcommand; or, when it is None, the full ``qillum`` parser with
+    every command and its flags."""
+    if command is not None:
+        return _add_flags(argparse.ArgumentParser(prog=f"qillum {command}"), command)
     parser = argparse.ArgumentParser(
         prog="qillum",
         description="Entangled-probe target detection with an amplified idler: "
                     "reports, sweeps, figure data, oracle validation, Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, fmt, scenario, own) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=summary)
-        if command in (None, name):
-            _add_flags(subparser, func, fmt, scenario, own)
+    for name, (_, summary, *_) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=summary), name)
     return parser
 
 
@@ -273,7 +278,11 @@ def main(argv=None) -> int:
     ``OSError`` (an unwritable ``--output``), each with one ``error:`` line
     on stderr."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:  # top-level help and errors, worded by the full parser
+        args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args)
     except (ValueError, OSError) as exc:

@@ -61,6 +61,10 @@ _BALANCED_BS = np.array(
 
 _PT_MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 
+#: ``np.asarray(x) <= _FLOAT_MAX`` is False for nan, inf and for ints past
+#: float64's range, on which ``isfinite`` raises.
+_FLOAT_MAX = np.finfo(float).max
+
 
 def _require(ok, value, message: str) -> None:
     """Raise ``message`` naming the first element of ``value`` where ``ok`` fails."""
@@ -145,7 +149,8 @@ class GainSpec:
     linear: float
 
     def __post_init__(self):
-        _require(np.isfinite(self.linear) & (np.asarray(self.linear) >= 1.0), self.linear,
+        linear = np.asarray(self.linear)
+        _require((linear >= 1.0) & (linear <= _FLOAT_MAX), self.linear,
                  "gain must be finite and >= 1, got {}")
 
     @property
@@ -174,7 +179,7 @@ def tmsv_covariance(n_s: float) -> TwoModeCovariance:
     """
     if not isinstance(n_s[()] if isinstance(n_s, np.ndarray) else n_s, numbers.Real):
         raise ValueError(f"mean photon number must be a real scalar, got {n_s!r}")
-    if not math.isfinite(n_s) or n_s < 0:
+    if not 0 <= np.asarray(n_s) <= _FLOAT_MAX:
         raise ValueError(f"mean photon number must be finite and >= 0, got {n_s}")
     n_s = float(n_s)
     nu = 2.0 * n_s + 1.0

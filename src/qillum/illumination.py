@@ -20,6 +20,7 @@ import numpy as np
 from .gaussian import (
     GainSpec,
     TwoModeCovariance,
+    _FLOAT_MAX,
     _item,
     _require,
     amplify_mode,
@@ -69,14 +70,14 @@ class ScenarioParams:
 
     def __post_init__(self):
         n_s, n_b, kappa = map(np.asarray, (self.n_s, self.n_b, self.kappa))
-        _require(np.isfinite(n_s) & (n_s >= 0), self.n_s,
+        _require((n_s >= 0) & (n_s <= _FLOAT_MAX), self.n_s,
                  "signal brightness must be finite and >= 0, got {}")
-        _require(np.isfinite(n_b) & (n_b >= 0), self.n_b,
+        _require((n_b >= 0) & (n_b <= _FLOAT_MAX), self.n_b,
                  "background brightness must be finite and >= 0, got {}")
         _require((0.0 <= kappa) & (kappa < 1.0), self.kappa,
                  "reflectance must lie in [0, 1), got {}")
-        # per element: counts past 2**63 arrive as an object array of ints
-        modes_ok = [isinstance(m, int) and m >= 1 for m in np.ravel(self.modes).tolist()]
+        # per element: counts past 2**63 arrive as an object array of ints; a bool is no count
+        modes_ok = [type(m) is int and m >= 1 for m in np.ravel(self.modes).tolist()]
         _require(np.reshape(modes_ok, np.shape(self.modes)), self.modes,
                  "mode count must be a positive integer, got {}")
 

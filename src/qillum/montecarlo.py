@@ -41,7 +41,7 @@ class TrialConfig:
     def __post_init__(self):
         for name, label in (("trials", "trial count"), ("seed", "seed")):
             value = getattr(self, name)  # a Python or numpy integer, kept as a Python int
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{label} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.trials < 1:

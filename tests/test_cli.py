@@ -477,11 +477,24 @@ FULL_ARGV = {
 }
 
 
+def _flags(parser: argparse.ArgumentParser) -> set:
+    """A parser's option strings and positional names."""
+    return {s for a in parser._actions for s in a.option_strings or [a.dest]}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """The full parser's subparser of each registered command."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def _command_flags(parser: argparse.ArgumentParser) -> dict:
     """Each registered command's option strings and positional names."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {s for a in command._actions for s in a.option_strings or [a.dest]}
-            for name, command in sub.choices.items()}
+    return {name: _flags(command) for name, command in _subparsers(parser).items()}
+
+
+#: The programs of the parsers the full ``qillum`` parser builds, in order.
+FULL_PARSER_PROGS = ["qillum", *(f"qillum {command}" for command in REQUIRED_ARGV)]
 
 
 class TestFlags:
@@ -510,14 +523,18 @@ class TestFlags:
     @pytest.mark.parametrize("command", REQUIRED_ARGV)
     def test_command_parser_parses_as_the_full_parser(self, command, argv):
         argv = [command, *(REQUIRED_ARGV if argv == "required" else FULL_ARGV)[command]]
-        flags = _command_flags(build_parser(command))
-        assert set(flags) == set(REQUIRED_ARGV)  # every name stays registered
-        assert {name for name, own in flags.items() if own != {"-h", "--help"}} == {command}
+        full = build_parser()
+        assert set(_subparsers(full)) == set(REQUIRED_ARGV)  # every name stays registered
+        own = _flags(build_parser(command))
+        assert own == _command_flags(full)[command]
+        # same prog, usage and help text as the full parser's subparser
+        assert build_parser(command).format_help() == _subparsers(full)[command].format_help()
         if argv[1:] == FULL_ARGV[command]:  # all but the unset one of the gain pair
-            unset = flags[command] - {"-h", "--help", "which", *argv}
+            unset = own - {"-h", "--help", "which", *argv}
             assert unset in (set(), {"--gain"}, {"--gain-db"})
-        assert (vars(build_parser(command).parse_args(argv))
-                == vars(build_parser().parse_args(argv)))
+        parsed = vars(full.parse_args(argv))
+        assert parsed.pop("command") == command
+        assert vars(build_parser(command).parse_args(argv[1:])) == parsed
 
     @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--bogus", "report"],
                                       ["--format", "csv", "report", "--ns", "1"]], ids=repr)
@@ -532,8 +549,29 @@ class TestFlags:
         monkeypatch.setattr(cli, "build_parser", spy)
         with pytest.raises(SystemExit):
             main(argv)
-        every = {name: _command_flags(build_parser(name))[name] for name in REQUIRED_ARGV}
+        every = {name: _flags(build_parser(name)) for name in REQUIRED_ARGV}
         assert [_command_flags(parser) for parser in built] == [every]
+
+    @pytest.mark.parametrize("argv,progs", [
+        (["report", "--ns", "0.01"], ["qillum report"]),
+        ([], FULL_PARSER_PROGS),
+        (["--help"], FULL_PARSER_PROGS),
+        (["frobnicate"], FULL_PARSER_PROGS),
+        (["report", "--ns", "1", "--bogus"], ["qillum report", *FULL_PARSER_PROGS]),
+    ], ids=["report", "no-argv", "help", "unknown-command", "unrecognized-argument"])
+    def test_main_builds_the_full_parser_only_for_top_level_errors_and_help(
+            self, monkeypatch, capsys, argv, progs):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert built == progs
 
     def test_main_builds_the_invoked_commands_flags_from_sys_argv(self, monkeypatch, capsys):
         built = []

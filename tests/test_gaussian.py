@@ -60,7 +60,12 @@ class TestTmsvCovariance:
         assert np.allclose(spectrum, 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-12, math.nan, math.inf,
-                                     np.float32("nan"), np.int64(-1), np.array(-0.5)])
+                                     np.float32("nan"), np.int64(-1), np.array(-0.5),
+                                     # past float64's range: a ValueError, not an OverflowError
+                                     pytest.param(10**400, id="1e400"),
+                                     pytest.param(-(10**400), id="-1e400"),
+                                     pytest.param(np.array(10**400, dtype=object), id="object"),
+                                     pytest.param(np.float32("inf"), id="f32inf")])
     def test_rejects_bad_brightness(self, bad):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             tmsv_covariance(bad)
@@ -69,6 +74,9 @@ class TestTmsvCovariance:
                              ids=repr)
     def test_accepts_numpy_scalars(self, n_s):
         assert np.array_equal(tmsv_covariance(n_s).matrix, tmsv_covariance(float(n_s)).matrix)
+
+    def test_accepts_ints_past_int64_within_float64(self):
+        assert np.array_equal(tmsv_covariance(2**70).matrix, tmsv_covariance(2.0**70).matrix)
 
     @pytest.mark.parametrize("bad", ["0.5", None, 0.5j, np.array([0.5])], ids=repr)
     def test_names_a_wrong_type(self, bad):
@@ -126,6 +134,15 @@ class TestGainSpec:
     def test_rejects_attenuation(self, bad):
         with pytest.raises(ValueError):
             GainSpec(bad)
+
+    @pytest.mark.parametrize("bad", [10**400, np.array([2, 10**400], dtype=object),
+                                     np.float32("inf"), np.array([2.0, np.inf], dtype=np.float32)],
+                             ids=["1e400", "object", "f32inf", "f32array"])
+    def test_rejects_what_float64_cannot_hold_as_a_value_error(self, bad):
+        named = np.ravel(bad).tolist()[-1]  # each input's first bad element is its last
+        with pytest.raises(ValueError) as excinfo:
+            GainSpec(bad)
+        assert str(excinfo.value) == f"gain must be finite and >= 1, got {named}"
 
 
 class TestAmplifyMode:

@@ -69,6 +69,26 @@ class TestScenarioParams:
         with pytest.raises(ValueError):
             ScenarioParams(n_s=1.0, n_b=1.0, kappa=0.1, gain=GainSpec(2.0), modes=10.0)
 
+    @pytest.mark.parametrize("field,name", [("ns", "signal brightness"),
+                                            ("nb", "background brightness")])
+    @pytest.mark.parametrize("bad", [10**400, np.array([1, 10**400], dtype=object),
+                                     np.float32("inf")], ids=["1e400", "object", "f32inf"])
+    def test_rejects_what_float64_cannot_hold_as_a_value_error(self, field, name, bad):
+        with pytest.raises(ValueError) as excinfo:
+            params(**{field: bad})
+        named = np.ravel(bad).tolist()[-1]  # each input's first bad element is its last
+        assert str(excinfo.value) == f"{name} must be finite and >= 0, got {named}"
+
+    @pytest.mark.parametrize("bad", [True, np.True_, np.array([True, True])], ids=repr)
+    def test_refuses_bools_as_mode_counts(self, bad):
+        with pytest.raises(ValueError, match="^mode count must be a positive integer, got True$"):
+            params(modes=bad)
+
+    @pytest.mark.parametrize("modes", [100, np.int64(100), np.uint16(100), np.array(100)],
+                             ids=repr)
+    def test_accepts_python_and_numpy_integer_mode_counts(self, modes):
+        assert params(modes=modes).clt_reliable
+
     def test_boundary_values_allowed(self):
         params(ns=0.0)  # vacuum probe
         params(kappa=0.0)  # fully hidden target

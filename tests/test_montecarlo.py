@@ -74,6 +74,12 @@ class TestTrialConfig:
         ("seed", None, "seed must be an integer, got None"),
         ("trials", np.int64(0), "trial count must be a positive integer, got 0"),
         ("seed", np.int64(-1), "seed must be an integer in [0, 2^64), got -1"),
+        ("trials", True, "trial count must be an integer, got True"),
+        ("trials", False, "trial count must be an integer, got False"),
+        ("trials", np.True_, "trial count must be an integer, got np.True_"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("seed", np.True_, "seed must be an integer, got np.True_"),
     ])
     def test_says_whether_type_or_range_is_wrong(self, field, value, message):
         with pytest.raises(ValueError) as excinfo:
