@@ -19,11 +19,11 @@ The beam splitter conserves the photon number N, and its sector unitary
 U_N (basis |k, N-k>) is built from U_{N-1}: with J the map
 (a^dag, b^dag)/sqrt(N) from two copies of the (N-1)-photon sector onto
 the N-photon one, U_N = J (U_{N-1} (x) R) J^T, where R is the rotation by
-theta that the splitter applies to (a^dag, b^dag).  J J^T = (a^dag a +
-b^dag b)/N = 1 on the sector, so each step has norm one: an error already
-in U_{N-1} is carried, never amplified, and rounding grows at most
-linearly in N (~1e-14 at N = 250).  Only the kept rows and columns are
-formed, and no sector needs an eigenproblem.
+theta that the splitter applies to (a^dag, b^dag), one complex multiply by
+e^(i theta) of modulus one.  J J^T = (a^dag a + b^dag b)/N = 1 on the sector,
+so each step has norm one: an error already in U_{N-1} is carried, never
+amplified, and rounding grows at most linearly in N (~1e-14 at N = 250).
+Only the kept rows and columns are formed, and no sector needs an eigenproblem.
 
 Truncation handling: the received and ancilla modes live in working
 spaces padded beyond the requested dimension, and every crop *discards*
@@ -78,26 +78,25 @@ def _bs_sector_unitary(theta: float, n_top: int, rows: int, cols: int) -> np.nda
         N U_N[r, k] = c sqrt((N-r)(N-k)) U_{N-1}[r, k] + s sqrt(r (N-k)) U_{N-1}[r-1, k]
                       - s sqrt((N-r) k) U_{N-1}[r, k-1] + c sqrt(r k) U_{N-1}[r-1, k-1]
 
-    Entry [r, k] reads only entries at or above-left of it, so the kept
-    block recurs on its own.  The stack is read-only.
+    Entry [r, k] reads only entries at or above-left of it, so the kept block
+    recurs on its own.  A step packs z = (sqrt(N-k) U_{N-1}[r, k] + i sqrt(k) U_{N-1}[r, k-1]) / N
+    and turns it by one norm-one multiply, w = (c + i s) z; then U_N[r, k] =
+    sqrt(N-r) Re w[r, k] + sqrt(r) Im w[r-1, k].  The stack is read-only.
     """
-    c, s = math.cos(theta), math.sin(theta)
     u = np.zeros((n_top + 1, rows, cols))
     u[0, 0, 0] = 1.0
+    root = np.sqrt(np.arange(n_top + 1.0))  # sqrt(j); root[N::-1] is sqrt(N - j)
+    turn = complex(math.cos(theta), math.sin(theta))
+    buf = np.empty((rows, cols), complex)
     for n in range(1, n_top + 1):
         r, k = min(n + 1, rows), min(n + 1, cols)
-        root = np.sqrt(np.arange(n + 1.0))  # sqrt(j); reversed, sqrt(N - j)
-        prev, out = u[n - 1, :r, :k], u[n, :r, :k]
-        # column k reads k (weight sqrt(N - k)) and k - 1 (sqrt(k)), summed
-        # separately for the terms at row r and at row r - 1
-        at_k, at_k1 = root[::-1][:k] / n, root[1:k] / n
-        from_r = c * prev * at_k
-        from_r[:, 1:] -= s * prev[:, :-1] * at_k1
-        from_r1 = s * prev * at_k
-        from_r1[:, 1:] += c * prev[:, :-1] * at_k1
-        # row r reads r (weight sqrt(N - r)) and r - 1 (sqrt(r))
-        np.multiply(root[::-1][:r, None], from_r, out=out)
-        out[1:] += root[1:r, None] * from_r1[:-1]
+        prev, out, z, down = u[n - 1, :r, :k], u[n, :r, :k], buf[:r, :k], root[n::-1]
+        np.multiply(prev, down[:k] / n, out=z.real)
+        np.multiply(prev[:, :-1], root[1:k] / n, out=z.imag[:, 1:])
+        z.imag[:, 0] = 0.0
+        z *= turn
+        np.multiply(down[:r, None], z.real, out=out)
+        out[1:] += root[1:r, None] * z.imag[:-1]
     u.flags.writeable = False
     return u
 

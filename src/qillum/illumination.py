@@ -76,9 +76,10 @@ class ScenarioParams:
                  "background brightness must be finite and >= 0, got {}")
         _require((0.0 <= kappa) & (kappa < 1.0), self.kappa,
                  "reflectance must lie in [0, 1), got {}")
-        # per element: counts past 2**63 arrive as an object array of ints; a bool is no count
-        modes_ok = [type(m) is int and m >= 1 for m in np.ravel(self.modes).tolist()]
-        _require(np.reshape(modes_ok, np.shape(self.modes)), self.modes,
+        modes = np.asarray(self.modes, dtype=object)  # elements as given: a bool is no count
+        modes_ok = [(type(m) is int or isinstance(m, np.integer)) and m >= 1
+                    for m in modes.ravel().tolist()]
+        _require(np.reshape(modes_ok, modes.shape), modes,
                  "mode count must be a positive integer, got {}")
 
     @property

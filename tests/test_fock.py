@@ -344,14 +344,19 @@ class TestExponentialsAgainstExpm:
         u = _bs_sector_unitary.__wrapped__(theta, n_total, n_total + 1, n_total + 1)[n_total]
         assert np.abs(u[np.ix_(idx, idx)] - sector_50_digits(n_total, theta, idx)).max() < 1e-13
 
-    def test_beam_splitter_kept_block_matches_its_full_sectors(self):
-        # the oracle's dim-30 box: 50 received rows, 30 signal columns
-        theta = math.acos(math.sqrt(0.3))
-        stack = _bs_sector_unitary.__wrapped__(theta, 78, 50, 30)
+    @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.5, 0.999])
+    @pytest.mark.parametrize("dim", [30, 60])
+    def test_beam_splitter_kept_block_matches_its_full_sectors(self, dim, kappa):
+        # the oracle's boxes: dim + 20 received rows, dim signal columns and
+        # sectors up to N = 2 dim + 18 (78 at dim 30, 138 at dim 60)
+        rows, n_top = dim + _PAD_MIX, 2 * dim + _PAD_MIX - 2
+        theta = math.acos(math.sqrt(kappa))
+        stack = _bs_sector_unitary.__wrapped__(theta, n_top, rows, dim)
         assert not stack.flags.writeable
-        for n_total in range(79):
-            block = np.zeros((50, 30))
-            full = sector_reference(n_total, theta)[:50, :30]
+        assert stack.dtype == np.float64 and stack.shape == (n_top + 1, rows, dim)
+        for n_total in range(n_top + 1):
+            block = np.zeros((rows, dim))
+            full = sector_reference(n_total, theta)[:rows, :dim]
             block[: full.shape[0], : full.shape[1]] = full
             assert np.abs(stack[n_total] - block).max() < 1e-13
 
@@ -419,6 +424,28 @@ class TestCountMoments:
         assert stats.mean == pytest.approx(mean, rel=1e-12, abs=1e-15)
         assert stats.variance == pytest.approx(variance, rel=1e-12)
         assert leakage == pytest.approx(1.0 - trace, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("ns, nb, kappa, g, dim, h0, h1", [
+        # validate's default point, a point of perfbench's validate box and 30 dB;
+        # each hypothesis as (mean, variance, leakage), recorded with the
+        # splitter step in its four-term real form
+        (0.1, 0.5, 0.1, 2.0, 30, (0.0, 2.05, 0.0),
+         (0.15732132722552264, 2.1222499999999997, 4.440892098500626e-16)),
+        (0.1, 0.5, 0.1, 2.0, 60, (0.0, 2.05, 0.0),
+         (0.15732132722552264, 2.1222499999999997, 4.440892098500626e-16)),
+        (0.37, 0.81, 0.43, 1.62, 60, (0.0, 2.9252993704435304, 1.1102230246251565e-16),
+         (0.46813740098143514, 3.9963899125477242, 0.0)),
+        (0.1, 0.5, 0.1, 10.0 ** 1.5, 30, (0.0, 599.5005999999998, 0.0),
+         (3.313308165565044, 616.5006169999995, 4.440892098500626e-16)),
+    ])
+    def test_moments_move_by_rounding_only(self, ns, nb, kappa, g, dim, h0, h1):
+        # leakage is 1 - trace: 4e-15 relative on a trace near 1 is 4e-15 absolute on the leakage
+        p = params(ns, nb, kappa, g)
+        for present, (mean, variance, leakage) in ((False, h0), (True, h1)):
+            stats, leak = receiver_count_moments(p, dim, present)
+            assert stats.mean == pytest.approx(mean, rel=4e-15, abs=0.0)
+            assert stats.variance == pytest.approx(variance, rel=4e-15, abs=0.0)
+            assert leak == pytest.approx(leakage, rel=0.0, abs=4e-15)
 
     def test_reduced_sums_match_dense_blocks_at_dim_30(self):
         p = params(0.3, 0.6, 0.3, 1.7)

@@ -79,7 +79,8 @@ class TestScenarioParams:
         named = np.ravel(bad).tolist()[-1]  # each input's first bad element is its last
         assert str(excinfo.value) == f"{name} must be finite and >= 0, got {named}"
 
-    @pytest.mark.parametrize("bad", [True, np.True_, np.array([True, True])], ids=repr)
+    @pytest.mark.parametrize("bad", [True, np.True_, np.array([True, True]), [3, True], (True, 2),
+                                     [[3, True]], np.array([3, True], dtype=object)], ids=repr)
     def test_refuses_bools_as_mode_counts(self, bad):
         with pytest.raises(ValueError, match="^mode count must be a positive integer, got True$"):
             params(modes=bad)
@@ -88,6 +89,11 @@ class TestScenarioParams:
                              ids=repr)
     def test_accepts_python_and_numpy_integer_mode_counts(self, modes):
         assert params(modes=modes).clt_reliable
+
+    @pytest.mark.parametrize("modes", [[3, np.int64(4)], np.array([3, 4]), [2**70], np.uint8(3)],
+                             ids=repr)
+    def test_accepts_integer_mode_counts_in_lists_arrays_and_numpy_scalars(self, modes):
+        assert params(modes=modes).modes is modes
 
     def test_boundary_values_allowed(self):
         params(ns=0.0)  # vacuum probe
