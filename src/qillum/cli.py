@@ -114,12 +114,6 @@ def _emit(rows: list[dict], args) -> None:
             out.write("".join(",".join(line) + "\r\n" for line in [keys, *zip(*cells)]))
 
 
-def _relative_deviation(a: float, b: float) -> float:
-    """|a - b| scaled by the larger magnitude, floored at the one-photon
-    scale so exactly-zero means compare sanely."""
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
-
-
 def _echo(p: illumination.ScenarioParams) -> dict:
     """The input cells a scenario command's row starts with."""
     return {"n_s": p.n_s, "n_b": p.n_b, "kappa": p.kappa,
@@ -165,7 +159,8 @@ def _cmd_sweep(args) -> list[dict]:
     log = args.spacing == "log"
     if log and (args.start <= 0 or args.stop <= 0):
         raise _ArgumentError("log spacing requires positive bounds")
-    values = (np.geomspace if log else np.linspace)(args.start, args.stop, args.points)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite point is refused below
+        values = (np.geomspace if log else np.linspace)(args.start, args.stop, args.points)
     return _sweep_rows(_params_from_args(args, args.modes), args.param, values)
 
 
@@ -173,11 +168,9 @@ def _cmd_figure(args) -> list[dict]:
     if args.points < 1:
         raise _ArgumentError(f"figure needs at least 1 point, got {args.points}")
     if args.which == "gain-prefactor":
-        # one point at a time: GainSpec.from_db over the whole grid takes G from
-        # numpy's array pow, whose last digit differs in 9 of the 301 default cells
-        return [{"gain_db": float(gain_db),
-                 "prefactor": illumination.gain_prefactor(GainSpec.from_db(gain_db))}
-                for gain_db in np.linspace(0.0, 30.0, args.points)]
+        grid = np.linspace(0.0, 30.0, args.points)
+        prefactor = illumination.gain_prefactor(GainSpec.from_db(grid))
+        return [{"gain_db": g, "prefactor": f} for g, f in zip(grid.tolist(), prefactor.tolist())]
     # snr-ratio: amplified-idler vs homodyne benchmark curve
     base = illumination.ScenarioParams(n_s=1e-2, n_b=100.0, kappa=1e-3,
                                        gain=GainSpec.from_db(15.0), modes=1)
@@ -206,7 +199,7 @@ def _cmd_validate(args) -> list[dict]:
         for stat in ("mean", "variance"):
             g, o = getattr(gauss, stat), getattr(oracle, stat)
             row[f"{label}_{stat}_gaussian"], row[f"{label}_{stat}_fock"] = g, o
-            worst = max(worst, _relative_deviation(g, o))
+            worst = max(worst, abs(g - o) / max(abs(g), abs(o), 1.0))  # floored at one photon
         leak_worst = max(leak_worst, leakage)
     row["max_relative_deviation"] = worst
     row["leakage"] = leak_worst
@@ -274,9 +267,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; emit its rows.  Exit codes: 2 for an argument error
-    argparse cannot see, 1 for any other ``ValueError`` and for an
-    ``OSError`` (an unwritable ``--output``), each with one ``error:`` line
-    on stderr."""
+    argparse cannot see; 1 for any other ``ValueError``, an ``OverflowError``,
+    a ``MemoryError`` (an oracle box too large to allocate) and an ``OSError``
+    (an unwritable ``--output``); each with one ``error:`` line on stderr."""
     argv = sys.argv[1:] if argv is None else argv
     args = extra = None
     if argv and argv[0] in _COMMANDS:
@@ -285,8 +278,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, _ArgumentError) else 1
     return 0
 

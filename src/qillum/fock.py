@@ -43,11 +43,7 @@ import numpy as np
 
 from .illumination import CountStats, ScenarioParams
 
-__all__ = [
-    "LEAKAGE_WARNING_THRESHOLD",
-    "thermal_probabilities",
-    "receiver_count_moments",
-]
+__all__ = ["LEAKAGE_WARNING_THRESHOLD", "thermal_probabilities", "receiver_count_moments"]
 
 #: Reported leakage above this marks the result as untrustworthy.
 LEAKAGE_WARNING_THRESHOLD = 1e-6

@@ -16,18 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SYMPLECTIC_FORM",
-    "PHYSICALITY_TOL",
-    "TwoModeCovariance",
-    "GainSpec",
-    "CrossCorrelations",
-    "symplectic_eigenvalues",
-    "tmsv_covariance",
-    "amplify_mode",
-    "apply_target_channel",
-    "balanced_beam_splitter",
-    "cross_correlations",
-    "min_ppt_symplectic_eigenvalue",
+    "SYMPLECTIC_FORM", "PHYSICALITY_TOL", "TwoModeCovariance", "GainSpec", "CrossCorrelations",
+    "symplectic_eigenvalues", "tmsv_covariance", "amplify_mode", "apply_target_channel",
+    "balanced_beam_splitter", "cross_correlations", "min_ppt_symplectic_eigenvalue",
     "random_two_mode_symplectic",
 ]
 
@@ -79,8 +70,27 @@ def _item(x):
     return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
-#: math.log10 per element, so a scalar gain keeps its exact dB value.
+def _real(value, name: str):
+    """``value``, a list or tuple made an array; a bool, which numpy reads as 1.0, is refused."""
+    arr = np.asarray(value, dtype=object) if isinstance(value, (list, tuple)) else value
+    if isinstance(arr, (bool, np.bool_)) or isinstance(arr, np.ndarray) and (
+            arr.dtype == bool or arr.dtype == object and any(
+                isinstance(v, (bool, np.bool_)) for v in arr.ravel().tolist())):
+        raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
+    return value if arr is value else np.asarray(value)
+
+
+def _db_to_linear(db) -> float:
+    try:
+        return 10.0 ** (float(db) / 20.0)
+    except OverflowError:
+        return math.inf
+
+
+#: math.log10 and Python's pow per element: an array of gains takes the
+#: arithmetic of a scalar gain, and a scalar keeps its exact dB value.
 _log10 = np.vectorize(math.log10, otypes=[float])
+_from_db = np.vectorize(_db_to_linear, otypes=[float])
 
 
 def _abs_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -149,6 +159,7 @@ class GainSpec:
     linear: float
 
     def __post_init__(self):
+        object.__setattr__(self, "linear", _real(self.linear, "gain"))
         linear = np.asarray(self.linear)
         _require((linear >= 1.0) & (linear <= _FLOAT_MAX), self.linear,
                  "gain must be finite and >= 1, got {}")
@@ -158,8 +169,9 @@ class GainSpec:
         return _item(20.0 * _log10(self.linear))
 
     @classmethod
+    @np.errstate(over="ignore")  # a gain past float64's range is refused as inf
     def from_db(cls, gain_db) -> "GainSpec":
-        return cls(10.0 ** (gain_db / 20.0))
+        return cls(_item(_from_db(_real(gain_db, "gain in dB"))))
 
 
 @dataclass(frozen=True)
@@ -177,6 +189,7 @@ def tmsv_covariance(n_s: float) -> TwoModeCovariance:
     The diagonal is nu/2 with nu = 2*n_s + 1; the q-q (p-p) cross entry is
     +c/2 (-c/2) with c = 2*sqrt(n_s*(n_s + 1)).  ``n_s = 0`` is the vacuum.
     """
+    n_s = _real(n_s, "mean photon number")
     if not isinstance(n_s[()] if isinstance(n_s, np.ndarray) else n_s, numbers.Real):
         raise ValueError(f"mean photon number must be a real scalar, got {n_s!r}")
     if not 0 <= np.asarray(n_s) <= _FLOAT_MAX:
@@ -223,6 +236,7 @@ def apply_target_channel(
     under both hypotheses and the target leaves no passive signature.
     Callers always pass the observed background ``n_b``.
     """
+    kappa, n_b = _real(kappa, "reflectance"), _real(n_b, "background brightness")
     if not (0.0 <= kappa <= 1.0):
         raise ValueError(f"reflectance must lie in [0, 1], got {kappa}")
     if not math.isfinite(n_b) or n_b < 0:

@@ -22,6 +22,7 @@ from .gaussian import (
     TwoModeCovariance,
     _FLOAT_MAX,
     _item,
+    _real,
     _require,
     amplify_mode,
     apply_target_channel,
@@ -29,21 +30,10 @@ from .gaussian import (
 )
 
 __all__ = [
-    "CLT_MODE_THRESHOLD",
-    "ScenarioParams",
-    "CountStats",
-    "DetectionReport",
-    "Regime",
-    "RegimeReport",
-    "hypothesis_covariances",
-    "count_difference_stats",
-    "receiver_stats",
-    "per_mode_count_stats",
-    "detection_report",
-    "gain_prefactor",
-    "snr_qi_closed_form",
-    "snr_csh_closed_form",
-    "classify_regime",
+    "CLT_MODE_THRESHOLD", "ScenarioParams", "CountStats", "DetectionReport", "Regime",
+    "RegimeReport", "hypothesis_covariances", "count_difference_stats", "receiver_stats",
+    "per_mode_count_stats", "detection_report", "gain_prefactor", "snr_qi_closed_form",
+    "snr_csh_closed_form", "classify_regime",
 ]
 
 #: Below this many mode pairs the Gaussian error-probability formula is
@@ -59,7 +49,8 @@ class ScenarioParams:
     ``kappa``: target reflectance; ``gain``: idler amplifier gain;
     ``modes``: number of signal-idler mode pairs integrated by the
     receiver.  Fields may be arrays (integer for ``modes``) that
-    broadcast together; validation names the first bad element.
+    broadcast together; a list or tuple of reals is made an array, a bool
+    is refused, and validation names the first bad element.
     """
 
     n_s: float
@@ -69,6 +60,9 @@ class ScenarioParams:
     modes: int
 
     def __post_init__(self):
+        for name, what in (("n_s", "signal brightness"), ("n_b", "background brightness"),
+                           ("kappa", "reflectance")):
+            object.__setattr__(self, name, _real(getattr(self, name), what))
         n_s, n_b, kappa = map(np.asarray, (self.n_s, self.n_b, self.kappa))
         _require((n_s >= 0) & (n_s <= _FLOAT_MAX), self.n_s,
                  "signal brightness must be finite and >= 0, got {}")
@@ -170,19 +164,19 @@ def receiver_stats(n_s, n_b, kappa, gain):
     ``hypothesis_covariances(p)``, with the splitter folded into the
     observable (N+ - N- = a1^dag a2 + a2^dag a1 on its inputs).  n2 and n1
     are the idler and received (H1) photon numbers.  Every sum adds
-    non-negative terms and G - 1/G is formed as (G - 1)(G + 1)/G, so nothing
+    non-negative terms and G - 1/G is formed by :func:`_g_minus`, so nothing
     cancels anywhere in the parameter range.
     """
     n_s, n_b, kappa, g = (np.asarray(v, dtype=float) for v in (n_s, n_b, kappa, gain))
     nu = 2.0 * n_s + 1.0
     c = 2.0 * np.sqrt(n_s * (n_s + 1.0))
-    g_minus = (g - 1.0) * (g + 1.0) / g
-    n2 = (nu * g_minus**2 + 4.0 * n_s) / 4.0
+    g_minus = _g_minus(g)
+    n2 = (nu * np.square(g_minus) + 4.0 * n_s) / 4.0
     n1 = kappa * n_s + n_b
     picc = np.sqrt(kappa) * c * g_minus / 4.0
     pscc = np.sqrt(kappa) * c * (g + 1.0 / g) / 4.0
     var0 = 2.0 * n_b * n2 + n_b + n2
-    var1 = 2.0 * picc**2 + 2.0 * pscc**2 + 2.0 * n1 * n2 + n1 + n2
+    var1 = 2.0 * np.square(picc) + 2.0 * np.square(pscc) + 2.0 * n1 * n2 + n1 + n2
     return np.broadcast_arrays(np.zeros_like(var0), var0, 2.0 * picc, var1)
 
 
@@ -221,17 +215,24 @@ def detection_report(p: ScenarioParams) -> DetectionReport:
         threshold=_item(threshold),
         p_error=_item(p_error),
         snr_closed_form=snr_qi_closed_form(p),
-        snr_first_principles=_item(delta**2 / (2.0 * (sd0 + sd1) ** 2)),
+        snr_first_principles=_item(np.square(delta) / (2.0 * np.square(sd0 + sd1))),
     )
+
+
+def _g_minus(g):
+    """G - 1/G as (G - 1)(G + 1)/G, which cancels nothing near G = 1."""
+    return (g - 1.0) * (g + 1.0) / g
 
 
 def gain_prefactor(gain: GainSpec) -> float:
     """Amplifier-dependent SNR prefactor (G - 1/G)^2 / (G^2 + 1/G^2).
 
-    Zero at unity gain, monotone, and approaching one for large gain.
+    Formed as x / (x + 2) with x = (G - 1/G)^2, since G^2 + 1/G^2 = x + 2:
+    no pow and no cancellation; zero at G = 1, monotone, approaching one.
     """
-    g = gain.linear
-    return (g - 1.0 / g) ** 2 / (g**2 + g**-2)
+    g_minus = _g_minus(gain.linear)
+    x = g_minus * g_minus  # np.square's arithmetic, without its cost on a scalar
+    return x / (x + 2.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -241,8 +242,8 @@ def snr_qi_closed_form(p: ScenarioParams) -> float:
     c = 2.0 * np.sqrt(p.n_s * (p.n_s + 1.0))
     omega = 2.0 * p.n_b + 1.0
     gamma = 2.0 * p.kappa * p.n_s + omega
-    kc2 = p.kappa * c**2
-    denom = (np.sqrt(gamma * nu + kc2) + np.sqrt(nu * omega)) ** 2
+    kc2 = p.kappa * np.square(c)
+    denom = np.square(np.sqrt(gamma * nu + kc2) + np.sqrt(nu * omega))
     return _item(gain_prefactor(p.gain) * kc2 / denom)
 
 

@@ -21,11 +21,7 @@ import numpy as np
 
 from .illumination import ScenarioParams, detection_report, per_mode_count_stats
 
-__all__ = [
-    "TrialConfig",
-    "ErrorProbabilityEstimate",
-    "estimate_error_probability",
-]
+__all__ = ["TrialConfig", "ErrorProbabilityEstimate", "estimate_error_probability"]
 
 #: Trials per shard.  Each shard owns its own Philox key, so shards are
 #: drawn in parallel and the counts do not depend on which thread drew which.

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qillum
-from qillum import cli
+from qillum import cli, illumination
 from qillum.cli import build_parser, main
 from qillum.fock import LEAKAGE_WARNING_THRESHOLD
 from qillum.gaussian import GainSpec
@@ -166,16 +166,34 @@ class TestSweep:
                 repr(value) if param != "modes" else str(value), repr(csh), regime)
             report = detection_report(ScenarioParams(
                 n_s=n_s, n_b=n_b, kappa=kappa, gain=GainSpec(point["g"]), modes=point["modes"]))
-            if param == "gain_db":  # numpy's pow may round G apart from Python's
-                assert float(row["p_error"]) == pytest.approx(report.p_error, rel=1e-13)
-            else:
-                assert float(row["p_error"]) == report.p_error
-            assert float(row["snr_qi"]) == pytest.approx(report.snr_closed_form, rel=1e-13)
+            assert float(row["p_error"]) == report.p_error
+            assert float(row["snr_qi"]) == report.snr_closed_form
             if csh > 0.0:
-                assert float(row["ratio"]) == pytest.approx(report.snr_closed_form / csh,
-                                                            rel=1e-13)
+                assert float(row["ratio"]) == report.snr_closed_form / csh
             else:
                 assert row["ratio"] == "nan"
+
+    @pytest.mark.parametrize("param,flag,start,stop,spacing", [
+        ("n_s", "--ns", "1e-3", "1e3", "log"), ("n_b", "--nb", "0.01", "1e4", "log"),
+        ("kappa", "--kappa", "0", "0.999", "linear"), ("gain_db", "--gain-db", "0", "30", "linear"),
+        ("modes", "--modes", "1", "1e8", "log")])
+    def test_each_row_is_report_at_its_value(self, capsys, param, flag, start, stop, spacing):
+        # one arithmetic for a point and a sweep: every cell byte for byte
+        code, out, _ = run_cli(capsys, "sweep", "--ns", "0.1", "--param", param, "--from", start,
+                               "--to", stop, "--points", "101", "--spacing", spacing)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 101
+        cells = {"snr_qi": "snr_closed_form", "snr_csh": "snr_csh", "ratio": "ratio",
+                 "p_error": "p_error", "regime": "regime"}
+        for row in rows:
+            argv = {"--ns": "0.1", flag: row["value"]}
+            code, out, _ = run_cli(capsys, "report", *[a for item in argv.items() for a in item])
+            assert code == 0
+            report = json.loads(out)
+            as_cell = {k: "nan" if v is None else v if isinstance(v, str) else repr(v)
+                       for k, v in report.items()}
+            assert {k: row[k] for k in cells} == {k: as_cell[v] for k, v in cells.items()}
 
     @pytest.mark.parametrize("param,start,stop,message", [
         ("n_s", "1", "-1", "signal brightness must be finite and >= 0, got -0.5"),
@@ -219,6 +237,21 @@ class TestFigures:
         row15 = lines[1 + 150].split(",")
         assert float(row15[0]) == pytest.approx(15.0, abs=1e-12)
         assert abs(float(row15[1]) - 0.93675) < 1e-4
+
+    def test_gain_prefactor_grid_is_one_broadcast_call(self, capsys, monkeypatch):
+        calls, prefactor = [], illumination.gain_prefactor
+
+        def spy(gain):
+            calls.append(np.shape(gain.linear))
+            return prefactor(gain)
+        monkeypatch.setattr(illumination, "gain_prefactor", spy)
+        code, out, _ = run_cli(capsys, "figure", "gain-prefactor", "--points", "31")
+        assert (code, calls) == (0, [(31,)])
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [float(db) for db, _ in rows] == np.linspace(0.0, 30.0, 31).tolist()
+        # each cell is the per-point value bit for bit
+        assert [float(f) for _, f in rows] == [
+            prefactor(GainSpec.from_db(float(db))) for db, _ in rows]
 
     def test_snr_ratio_curve_shows_all_regimes(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "snr-ratio", "--points", "101")
@@ -447,6 +480,39 @@ class TestErrorHandling:
     def test_attenuating_gain_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "report", "--ns", "1", "--gain", "0.5")
         assert code == 1
+
+    def test_gain_past_float64_exits_one(self, capsys):
+        # Python's pow raises OverflowError at 10^(10000/20); the gain is named as inf
+        code, out, err = run_cli(capsys, "report", "--ns", "1", "--gain-db", "10000")
+        assert (code, out, err) == (1, "", "error: gain must be finite and >= 1, got inf\n")
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 51.3 GiB for an array with shape (3019, 1520, 1500) "
+                     "and data type float64"),
+         "error: Unable to allocate 51.3 GiB for an array with shape (3019, 1520, 1500) "
+         "and data type float64\n"),
+        (MemoryError(), "error: MemoryError\n")], ids=["numpy", "bare"])
+    def test_memory_error_exits_one(self, capsys, monkeypatch, exc, line):
+        # the box the paper's point needs (n_b = 100, 30 dB, --dim 1500) cannot be
+        # allocated; the oracle is stubbed so that nothing is
+        def no_memory(*args):
+            raise exc
+        monkeypatch.setattr(cli.fock, "receiver_count_moments", no_memory)
+        code, out, err = run_cli(capsys, "validate", "--ns", "0.01", "--nb", "100", "--kappa",
+                                 "1e-3", "--gain-db", "30", "--dim", "1500")
+        assert (code, out, err) == (1, "", line)
+
+    @pytest.mark.parametrize("param,spacing,line", [
+        ("n_s", "linear", "error: signal brightness must be finite and >= 0, got nan"),
+        ("n_s", "log", "error: signal brightness must be finite and >= 0, got inf"),
+        ("modes", "linear", "error: cannot convert float NaN to integer"),
+        ("modes", "log", "error: cannot convert float infinity to integer")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_bound_prints_one_line(self, capsys, param, spacing, line):
+        # numpy's grid warnings stay off stderr; the error line is all there is
+        code, out, err = run_cli(capsys, "sweep", "--ns", "0.1", "--param", param,
+                                 "--from", "1", "--to", "inf", "--spacing", spacing)
+        assert (code, out, err) == (1, "", line + "\n")
 
 
 #: The least each subcommand parses with.

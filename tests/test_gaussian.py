@@ -83,6 +83,12 @@ class TestTmsvCovariance:
         with pytest.raises(ValueError, match="must be a real scalar, got"):
             tmsv_covariance(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, np.True_, np.array(True)], ids=repr)
+    def test_refuses_a_bool(self, bad):
+        # a bool is no photon number: True once gave a diagonal of 1.5
+        with pytest.raises(ValueError, match=r"^mean photon number must be a real"):
+            tmsv_covariance(bad)
+
 
 class TestValidation:
     def test_rejects_uncertainty_violation(self):
@@ -129,6 +135,33 @@ class TestGainSpec:
         for g in gains.tolist():
             assert type(GainSpec(g).db) is float
             assert GainSpec(g).db == 20.0 * math.log10(g)
+
+    def test_from_db_takes_a_scalars_arithmetic_per_element(self):
+        # Python's pow per element: numpy's array pow rounds some G apart
+        db = np.linspace(0.0, 30.0, 3001)
+        linear = GainSpec.from_db(db).linear
+        assert isinstance(linear, np.ndarray) and linear.shape == db.shape
+        assert linear.tolist() == [GainSpec.from_db(x).linear for x in db.tolist()]
+        assert linear.tolist() == [10.0 ** (x / 20.0) for x in db.tolist()]
+        assert type(GainSpec.from_db(15.0).linear) is float
+        assert GainSpec.from_db(np.float64(15.0)).linear == GainSpec.from_db(15.0).linear
+
+    @pytest.mark.parametrize("db", [1e4, np.array([3.0, 1e5])], ids=repr)
+    def test_from_db_past_float64_names_inf(self, db):
+        with pytest.raises(ValueError, match=r"^gain must be finite and >= 1, got inf$"):
+            GainSpec.from_db(db)
+
+    @pytest.mark.parametrize("bad", [True, np.True_, np.array([True]), [2.0, True],
+                                     np.array([2.0, True], dtype=object)], ids=repr)
+    def test_refuses_a_bool(self, bad):
+        with pytest.raises(ValueError, match=r"^gain must be a real number, not a bool, got "):
+            GainSpec(bad)
+        with pytest.raises(ValueError, match=r"^gain in dB must be a real number, not a bool"):
+            GainSpec.from_db(bad)
+
+    def test_a_list_of_gains_becomes_an_array(self):
+        gain = GainSpec([1.0, 2.0])
+        assert isinstance(gain.linear, np.ndarray) and gain.db.tolist() == [0.0, GainSpec(2.0).db]
 
     @pytest.mark.parametrize("bad", [0.5, 0.999999, 0.0, -2.0, math.nan])
     def test_rejects_attenuation(self, bad):
@@ -213,6 +246,13 @@ class TestTargetChannel:
             apply_target_channel(probe, 1.0, 1.0, target_present=True)
         # full reflectance without compensation is well defined
         apply_target_channel(probe, 1.0, 1.0, target_present=False)
+
+    def test_refuses_a_bool(self):
+        probe = tmsv_covariance(1.0)
+        with pytest.raises(ValueError, match=r"^reflectance must be a real number, not a bool"):
+            apply_target_channel(probe, True, 1.0, target_present=False)
+        with pytest.raises(ValueError, match=r"^background brightness must be a real number"):
+            apply_target_channel(probe, 0.5, np.False_, target_present=True)
 
 
 class TestBalancedBeamSplitter:

@@ -85,6 +85,36 @@ class TestScenarioParams:
         with pytest.raises(ValueError, match="^mode count must be a positive integer, got True$"):
             params(modes=bad)
 
+    @pytest.mark.parametrize("field,name", [("ns", "signal brightness"),
+                                            ("nb", "background brightness"),
+                                            ("kappa", "reflectance")])
+    @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_, np.array([True, False]),
+                                     [1.0, True], (False, 0.5), [[0.5, np.True_]],
+                                     np.array([0.5, True], dtype=object)], ids=repr)
+    def test_refuses_bools_as_reals(self, field, name, bad):
+        # numpy reads a bool as 1.0 or 0.0, also inside a list
+        with pytest.raises(ValueError) as excinfo:
+            params(**{field: bad})
+        assert str(excinfo.value) == f"{name} must be a real number, not a bool, got {bad!r}"
+
+    @pytest.mark.parametrize("field", ["ns", "nb", "kappa"])
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_a_sequence_field_is_evaluated_as_an_array(self, field, kind):
+        values = [0.2, 0.5]
+        p = params(**{field: kind(values)})
+        assert isinstance(getattr(p, {"ns": "n_s", "nb": "n_b"}.get(field, field)), np.ndarray)
+        report, regime, csh = detection_report(p), classify_regime(p), snr_csh_closed_form(p)
+        for i, value in enumerate(values):
+            point = params(**{field: value})
+            assert report.p_error[i] == detection_report(point).p_error
+            assert regime.ratio[i] == classify_regime(point).ratio
+            assert csh[i] == snr_csh_closed_form(point)
+
+    def test_scalar_fields_are_kept_as_given(self):
+        p = ScenarioParams(n_s=1, n_b=np.float32(0.5), kappa=0.25, gain=GainSpec(2), modes=10)
+        assert (type(p.n_s), type(p.n_b), type(p.kappa), type(p.gain.linear)) == (
+            int, np.float32, float, int)
+
     @pytest.mark.parametrize("modes", [100, np.int64(100), np.uint16(100), np.array(100)],
                              ids=repr)
     def test_accepts_python_and_numpy_integer_mode_counts(self, modes):

@@ -14,6 +14,7 @@ from qillum.illumination import (
     ScenarioParams,
     classify_regime,
     detection_report,
+    gain_prefactor,
     receiver_stats,
     snr_csh_closed_form,
     snr_qi_closed_form,
@@ -134,8 +135,61 @@ def test_array_scenario_equals_per_point_calls():
         assert regime.regime[i] is point_regime.regime
         assert report.p_error[i] == point.p_error
         assert report.threshold[i] == point.threshold
-        assert _rel(qi[i], snr_qi_closed_form(p)) <= 1e-15
-        assert _rel(regime.ratio[i], point_regime.ratio) <= 1e-15
+        assert qi[i] == snr_qi_closed_form(p)
+        assert regime.ratio[i] == point_regime.ratio
+
+
+#: Base scenarios (gain in dB) that each parameter is swept around.
+BASES = [dict(n_s=0.01, n_b=100.0, kappa=1e-3, gain_db=15.0, modes=100),
+         dict(n_s=0.37, n_b=0.81, kappa=0.43, gain_db=4.2, modes=7),
+         dict(n_s=2.0, n_b=1e3, kappa=0.9, gain_db=28.0, modes=10**6)]
+#: 1000 points per parameter around each base: 3000 per parameter.
+SWEEPS = {
+    "n_s": np.geomspace(1e-3, 1e9, 1000),
+    "n_b": np.geomspace(1e-3, 1e6, 1000),
+    "kappa": np.linspace(0.0, 0.999, 1000),
+    "gain_db": np.linspace(0.0, 30.0, 1000),
+    "modes": np.array([max(1, round(v)) for v in np.geomspace(1, 1e12, 1000).tolist()]),
+}
+
+
+def _scenario(n_s, n_b, kappa, gain_db, modes):
+    return ScenarioParams(n_s=n_s, n_b=n_b, kappa=kappa, gain=GainSpec.from_db(gain_db),
+                          modes=modes)
+
+
+def _quantities(p):
+    report, regime = detection_report(p), classify_regime(p)
+    return {"threshold": report.threshold, "p_error": report.p_error,
+            "snr_closed_form": report.snr_closed_form,
+            "snr_first_principles": report.snr_first_principles,
+            "snr_csh": snr_csh_closed_form(p), "ratio": regime.ratio, "regime": regime.regime}
+
+
+@pytest.mark.parametrize("param", list(SWEEPS))
+def test_array_route_is_the_scalar_route_bit_for_bit(param):
+    # one array-valued scenario against a scalar call per point; repr tells
+    # every float apart (nan equals nan, -0.0 is not 0.0), as the CLI prints it
+    grid = SWEEPS[param]
+    for base in BASES:
+        swept = _quantities(_scenario(**{**base, param: grid}))
+        points = [_quantities(_scenario(**{**base, param: value})) for value in grid.tolist()]
+        for name, column in swept.items():
+            column = np.broadcast_to(column, grid.shape).tolist()
+            moved = [(value, a, point[name]) for value, a, point in zip(grid.tolist(), column, points)
+                     if repr(a) != repr(point[name])]
+            assert moved == [], f"{name} around {base}: {len(moved)} points differ"
+
+
+@pytest.mark.parametrize("g", [1 + 1e-7, 1 + 1e-10, 1 + 2**-52, 2.0, 10 ** (23 / 20), 10**1.5],
+                         ids=["1+1e-7", "1+1e-10", "1+2^-52", "2", "23dB", "30dB"])
+def test_gain_prefactor_against_50_digits(g):
+    # (G - 1/G)^2 / (G^2 + G^-2) at the float64 G; near G = 1 a direct
+    # G - 1/G cancels, and read 8e-11 relative at 1 + 1e-7
+    with mp.workdps(50):
+        x = (mp.mpf(g) - 1 / mp.mpf(g)) ** 2
+        reference = x / (x + 2)
+    assert _rel(gain_prefactor(GainSpec(g)), reference) <= 1e-15
 
 
 def test_array_validation_names_the_first_bad_element():
