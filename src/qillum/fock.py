@@ -5,8 +5,8 @@ source is written out as Schmidt weights, the target beam splitter as the
 exponential of its number-basis generator, background mixing as an
 explicit ancilla mode that is traced out, and photon-count moments as
 exact sums over (signal, ancilla) number pairs.  The module needs numpy
-alone and exists to validate the covariance-matrix pipeline at small
-occupation numbers through an entirely independent route.
+alone, makes no BLAS call, and exists to validate the covariance-matrix
+pipeline at small occupation numbers through an entirely independent route.
 
 The amplified idler enters the moments only through five sums per signal
 number s: the weight of the Schmidt branch, <a_I^dag a_I> and <a_I a_I^dag>
@@ -41,6 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .gaussian import _real
 from .illumination import CountStats, ScenarioParams
 
 __all__ = ["LEAKAGE_WARNING_THRESHOLD", "thermal_probabilities", "receiver_count_moments"]
@@ -55,7 +56,7 @@ _PAD_MIX = 20
 
 def thermal_probabilities(nbar: float, dim: int) -> np.ndarray:
     """Number distribution of a thermal state, truncated at ``dim``."""
-    if not math.isfinite(nbar) or nbar < 0:
+    if not math.isfinite(_real(nbar, "thermal brightness")) or nbar < 0:
         raise ValueError(f"thermal brightness must be finite and >= 0, got {nbar}")
     ratio = nbar / (nbar + 1.0)
     return (1.0 - ratio) * ratio ** np.arange(dim)
@@ -97,23 +98,6 @@ def _bs_sector_unitary(theta: float, n_top: int, rows: int, cols: int) -> np.nda
     return u
 
 
-def _sector_tables(theta: float, n_top: int, rows: int, cols: int) -> np.ndarray:
-    """Sums over r < min(N + 1, rows) at [N, s < cols] of the sector stack u[N] = U_N[:rows, :cols].
-
-    The five tables: u_N[r, s]^2 weighted by 1, r and (r + 1)[r <= rows - 2];
-    sqrt(r) u_N[r, s] u_{N-1}[r-1, s-1]; sqrt(r (r - 1)) u_N[r, s] u_{N-2}[r-2, s-2].
-    """
-    n = n_top + 1
-    u = _bs_sector_unitary(theta, n_top, rows, cols)
-    r = np.arange(float(rows))
-    tables = np.zeros((5, n, cols))
-    for k, (d, w) in enumerate([(0, np.ones(rows)), (0, r), (0, (r + 1.0) * (r < rows - 1)),
-                                (1, np.sqrt(r)), (2, np.sqrt(r * (r - 1.0)))]):
-        tables[k, d:, d:] = np.einsum("nrs,nrs,r->ns", u[d:, d:, d:],
-                                      u[: n - d, : rows - d, : cols - d], w[d:])
-    return tables
-
-
 def _idler_sums(p: ScenarioParams, dim: int) -> np.ndarray:
     """Sums over the amplified idler of each Schmidt branch s < dim, shape (5, dim).
 
@@ -146,25 +130,37 @@ def receiver_count_moments(
     The state is built in the padded working box and the balanced splitter
     enters exactly, through the interference observable
     X = a_R^dag a_I + a_I^dag a_R; the returned leakage is the probability
-    weight the working box could not hold.  Ancilla branch n sends signal s
-    into sector N = s + n and X never touches the traced-out splitter port,
-    so each moment sums p_n * (idler sum at s) * (sector table at [N, s]).
+    weight the working box could not hold.  Both hypotheses share one
+    contraction: each moment sums, over received number r and signal s, a
+    row weight in r, an idler sum at s and an offset sum q_d[r, s], d = 0, 1, 2.
+    With the target present, ancilla branch n sends signal s into splitter
+    sector N = s + n and X never touches the traced-out port, so
+    q_d[r, s] = sum_N p_(N-s) U_N[r, s] U_(N-d)[r-d, s-d].  Without it the
+    received mode is the thermal ancilla, independent of the idler:
+    q_0[r, s] = p_r and q_1 = q_2 = 0, so the mean is 0.
     """
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
     box = dim + _PAD_MIX  # the received and the ancilla box; the signal box is dim
-    sums = _idler_sums(p, dim)
-    occupied, raised, lowered = sums[:3]
-    if not target_present:
-        # a thermal received mode independent of the idler: X shifts m, so the mean is 0
-        probs = thermal_probabilities(p.n_b, box)
-        m = np.arange(float(box))
-        second = (probs[:-1] @ m[1:]) * lowered.sum() + (probs @ m) * raised.sum()
-        return CountStats(0.0, float(second)), max(0.0, 1.0 - float(probs.sum() * occupied.sum()))
-    # a weight that underflowed to zero touches no sector
-    probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), box), "b")
-    tables = _sector_tables(math.acos(math.sqrt(p.kappa)), dim + len(probs) - 2, box, dim)
-    n, s = np.ogrid[: len(probs), : dim]
-    trace, down, up, mean, cross = np.einsum(
-        "n,kns,ks->k", probs, tables[:, n + s, s], sums).tolist()
+    q = np.zeros((3, box, dim))
+    if target_present:
+        # a weight that underflowed to zero touches no sector
+        probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), box), "b")
+        n = dim + len(probs) - 1
+        u = _bs_sector_unitary(math.acos(math.sqrt(p.kappa)), n - 1, box, dim)
+        weights = np.zeros((n, dim))  # p_(N-s) at [N, s]
+        for s in range(dim):
+            weights[s : s + len(probs), s] = probs
+        for d in range(3):
+            q[d, d:, d:] = np.einsum("ns,nrs,nrs->rs", weights[d:, d:], u[d:, d:, d:],
+                                     u[: n - d, : box - d, : dim - d])
+    else:
+        q[0] = thermal_probabilities(p.n_b, box)[:, None]
+    r = np.arange(float(box))
+    row_weights = np.array([np.ones(box), r, (r + 1.0) * (r < box - 1),
+                            np.sqrt(r), np.sqrt(r * (r - 1.0))])
+    # each moment's offset d; over r first, then over s, as a single sum over
+    # every (r, s) pair rounds up to ~1e-14 relative
+    per_signal = np.einsum("kr,krs->ks", row_weights, q[[0, 0, 0, 1, 2]])
+    trace, down, up, mean, cross = np.einsum("ks,ks->k", per_signal, _idler_sums(p, dim)).tolist()
     return CountStats(mean=mean, variance=down + up + cross - mean**2), max(0.0, 1.0 - trace)

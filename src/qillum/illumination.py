@@ -78,7 +78,7 @@ class ScenarioParams:
 
     @property
     def clt_reliable(self) -> bool:
-        return self.modes >= CLT_MODE_THRESHOLD
+        return _item(np.asarray(self.modes) >= CLT_MODE_THRESHOLD)
 
 
 @dataclass(frozen=True)

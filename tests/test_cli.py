@@ -472,6 +472,11 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in err
 
+    def test_noiseless_hypotheses_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "report", "--ns", "0", "--nb", "0", "--gain", "1")
+        assert (code, out, err) == (
+            1, "", "error: both hypotheses are noiseless; threshold undefined\n")
+
     def test_float64_overflow_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "report", "--ns", "1e200")
         assert (code, out) == (1, "")

@@ -1,4 +1,7 @@
+import ast
+import itertools
 import math
+import pathlib
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -8,6 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from qillum import fock
 from qillum.fock import (
     _PAD_MIX,
     LEAKAGE_WARNING_THRESHOLD,
@@ -221,6 +225,37 @@ def operator_moments(p, dim, target_present):
     return mean, second - mean**2, trace
 
 
+def five_table_moments(p, dim, target_present):
+    """Mean, variance and leakage by per-sector tables: the reference for the offset sums.
+
+    With the target present, five tables over r < box at [N, s] hold
+    u_N[r, s]^2 weighted by 1, r and (r + 1)[r <= box - 2],
+    sqrt(r) u_N[r, s] u_(N-1)[r-1, s-1] and sqrt(r (r - 1)) u_N[r, s] u_(N-2)[r-2, s-2];
+    each moment sums p_n * (idler sum at s) * (table at [n + s, s]).  Without
+    it the received mode is thermal and independent of the idler, so each
+    moment is a product of a thermal and an idler sum.
+    """
+    box = dim + _PAD_MIX
+    sums = _idler_sums(p, dim)
+    if not target_present:
+        probs = thermal_probabilities(p.n_b, box)
+        m = np.arange(float(box))
+        second = (probs[:-1] @ m[1:]) * sums[2].sum() + (probs @ m) * sums[1].sum()
+        return 0.0, float(second), max(0.0, 1.0 - float(probs.sum() * sums[0].sum()))
+    probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), box), "b")
+    n_top = dim + len(probs) - 2
+    u = _bs_sector_unitary.__wrapped__(math.acos(math.sqrt(p.kappa)), n_top, box, dim)
+    r = np.arange(float(box))
+    tables = np.zeros((5, n_top + 1, dim))
+    for k, (d, w) in enumerate([(0, np.ones(box)), (0, r), (0, (r + 1.0) * (r < box - 1)),
+                                (1, np.sqrt(r)), (2, np.sqrt(r * (r - 1.0)))]):
+        tables[k, d:, d:] = np.einsum("nrs,nrs,r->ns", u[d:, d:, d:],
+                                      u[: n_top + 1 - d, : box - d, : dim - d], w[d:])
+    n, s = np.ogrid[: len(probs), :dim]
+    trace, down, up, mean, cross = np.einsum("n,kns,ks->k", probs, tables[:, n + s, s], sums)
+    return float(mean), float(down + up + cross - mean**2), max(0.0, 1.0 - float(trace))
+
+
 def pure_state_log_negativity(amps):
     """log2 ||rho^T2||_1 of the pure state sum amps[n, m] |n, m>: 2 log2 of
     the summed Schmidt coefficients (the singular values of ``amps``)."""
@@ -233,6 +268,17 @@ class TestBuildingBlocks:
         assert probs[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert probs[10] / probs[9] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert probs.sum() == pytest.approx(1.0 - (2.0 / 3.0) ** 50, rel=1e-12)
+
+    @pytest.mark.parametrize("nbar", [-1.0, math.inf, math.nan])
+    def test_thermal_probabilities_refuse_a_bad_brightness(self, nbar):
+        with pytest.raises(ValueError, match=r"^thermal brightness must be finite and >= 0"):
+            thermal_probabilities(nbar, 5)
+
+    @pytest.mark.parametrize("nbar", [True, np.False_])
+    def test_thermal_probabilities_refuse_a_bool(self, nbar):
+        # numpy would read True as the brightness 1.0
+        with pytest.raises(ValueError, match=r"^thermal brightness must be a real number"):
+            thermal_probabilities(nbar, 3)
 
     def test_thermal_probabilities_vacuum(self):
         probs = thermal_probabilities(0.0, 8)
@@ -313,6 +359,29 @@ class TestBuildingBlocks:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         for present in (False, True):
             receiver_count_moments(params(0.2, 0.5, 0.3, 2.0), 30, present)
+
+    def test_oracle_source_makes_no_blas_call(self):
+        # numpy hands @, dot, matmul, tensordot, linalg and einsum's optimize
+        # path to BLAS, whose worker threads spin past the call and slow the
+        # oracle whenever another process wants the CPU
+        tree = ast.parse(pathlib.Path(fock.__file__).read_text(encoding="utf-8"))
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names.append((node.lineno, "@"))
+            elif isinstance(node, ast.keyword) and node.arg == "optimize":
+                names.append((node.lineno, "optimize="))
+            elif isinstance(node, ast.Attribute):
+                names.append((node.lineno, node.attr))
+            elif isinstance(node, ast.Name):
+                names.append((node.lineno, node.id))
+            elif isinstance(node, ast.Import):
+                names += [(node.lineno, part) for a in node.names for part in a.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names += [(node.lineno, part) for part in (node.module or "").split(".")]
+                names += [(node.lineno, a.name) for a in node.names]
+        banned = {"@", "optimize=", "dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+        assert [(line, name) for line, name in names if name in banned] == []
 
 
 class TestExponentialsAgainstExpm:
@@ -442,6 +511,20 @@ class TestCountMoments:
         # leakage is 1 - trace: 4e-15 relative on a trace near 1 is 4e-15 absolute on the leakage
         p = params(ns, nb, kappa, g)
         for present, (mean, variance, leakage) in ((False, h0), (True, h1)):
+            stats, leak = receiver_count_moments(p, dim, present)
+            assert stats.mean == pytest.approx(mean, rel=4e-15, abs=0.0)
+            assert stats.variance == pytest.approx(variance, rel=4e-15, abs=0.0)
+            assert leak == pytest.approx(leakage, rel=0.0, abs=4e-15)
+
+    @pytest.mark.parametrize("present", [False, True])
+    @pytest.mark.parametrize("g", [1.0, 1.7, 31.6, 1000.0])
+    @pytest.mark.parametrize("dim", [2, 3, 12, 30, 60])
+    def test_offset_sums_match_the_five_table_contraction(self, dim, g, present):
+        # both hypotheses on the offset sums against the per-sector tables and
+        # the closed thermal form without a target, at the bounds above
+        for kappa, ns, nb in itertools.product([0.0, 0.3, 0.9], [0.01, 1.0], [0.0, 0.5, 2.0]):
+            p = params(ns, nb, kappa, g)
+            mean, variance, leakage = five_table_moments(p, dim, present)
             stats, leak = receiver_count_moments(p, dim, present)
             assert stats.mean == pytest.approx(mean, rel=4e-15, abs=0.0)
             assert stats.variance == pytest.approx(variance, rel=4e-15, abs=0.0)

@@ -101,6 +101,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="symmetric"):
             TwoModeCovariance(m)
 
+    def test_rejects_nonpositive_quadrature_variance(self):
+        with pytest.raises(ValueError, match=r"^quadrature variances must be positive$"):
+            TwoModeCovariance(np.zeros((4, 4)))
+
     def test_rejects_wrong_shape_and_nonfinite(self):
         with pytest.raises(ValueError):
             TwoModeCovariance(np.eye(3))
@@ -247,6 +251,10 @@ class TestTargetChannel:
         # full reflectance without compensation is well defined
         apply_target_channel(probe, 1.0, 1.0, target_present=False)
 
+    def test_rejects_negative_background(self):
+        with pytest.raises(ValueError, match=r"^background brightness must be finite and >= 0"):
+            apply_target_channel(tmsv_covariance(1.0), 0.1, -1.0, target_present=True)
+
     def test_refuses_a_bool(self):
         probe = tmsv_covariance(1.0)
         with pytest.raises(ValueError, match=r"^reflectance must be a real number, not a bool"):
@@ -345,6 +353,13 @@ class TestSymplecticMachinery:
     def test_symplectic_eigenvalues_of_thermal_state(self):
         m = np.diag([1.5, 1.5, 2.5, 2.5])
         assert np.allclose(symplectic_eigenvalues(m), [1.5, 2.5], atol=1e-12)
+
+    def test_symplectic_eigenvalues_refuse_an_unpaired_spectrum(self):
+        # a non-symmetric matrix: |eigenvalues| of i Omega V come in no doubled pairs
+        m = np.diag([1.0, 2.0, 3.0, 4.0])
+        m[0, 1] = 3.0
+        with pytest.raises(ValueError, match="does not split into matched pairs"):
+            symplectic_eigenvalues(m)
 
     def test_physicality_preserved_by_pipeline(self, random_state_factory):
         # every op revalidates its output on construction; also check explicitly

@@ -133,6 +133,15 @@ class TestScenarioParams:
         assert not params(modes=99).clt_reliable
         assert params(modes=100).clt_reliable
 
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_clt_flag_per_element_of_a_mode_count_sequence(self, kind):
+        flags = params(modes=kind([99, 100, 2**70])).clt_reliable
+        assert isinstance(flags, np.ndarray) and flags.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("modes", [99, 100, np.int64(100)], ids=repr)
+    def test_clt_flag_of_a_scalar_mode_count_is_a_python_bool(self, modes):
+        assert params(modes=modes).clt_reliable is bool(modes >= 100)
+
 
 class TestHypothesisCovariances:
     @pytest.mark.parametrize("ns", [0.01, 0.5, 2.0])
