@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import fock, illumination, montecarlo
+from . import fock, gaussian, illumination, montecarlo
 from .gaussian import GainSpec, amplify_mode, min_ppt_symplectic_eigenvalue, tmsv_covariance
 
 __all__ = ["build_parser", "main"]
@@ -181,8 +181,7 @@ def _cmd_figure(args) -> list[dict]:
 
 def _cmd_ppt(args) -> list[dict]:
     gain = _gain_from_args(args)
-    if not math.isfinite(args.ns) or args.ns < 0:
-        raise ValueError(f"--ns must be finite and >= 0, got {args.ns}")
+    gaussian._real(args.ns, "--ns", 0, scalar=True)  # named by its flag
     value = min_ppt_symplectic_eigenvalue(amplify_mode(tmsv_covariance(args.ns), 2, gain))
     return [{"n_s": args.ns, "gain": gain.linear, "gain_db": gain.db,
              "min_ppt_symplectic_eigenvalue": value,

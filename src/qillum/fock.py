@@ -56,8 +56,7 @@ _PAD_MIX = 20
 
 def thermal_probabilities(nbar: float, dim: int) -> np.ndarray:
     """Number distribution of a thermal state, truncated at ``dim``."""
-    if not math.isfinite(_real(nbar, "thermal brightness")) or nbar < 0:
-        raise ValueError(f"thermal brightness must be finite and >= 0, got {nbar}")
+    nbar = _real(nbar, "thermal brightness", 0, scalar=True)
     ratio = nbar / (nbar + 1.0)
     return (1.0 - ratio) * ratio ** np.arange(dim)
 
@@ -139,15 +138,18 @@ def receiver_count_moments(
     received mode is the thermal ancilla, independent of the idler:
     q_0[r, s] = p_r and q_1 = q_2 = 0, so the mean is 0.
     """
+    if not (type(dim) is int or isinstance(dim, np.integer)):  # a bool or a float is no count
+        raise ValueError(f"truncation dimension must be an integer, got {dim!r}")
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
+    n_b, kappa = float(p.n_b), float(p.kappa)  # a float32 field is read in float64
     box = dim + _PAD_MIX  # the received and the ancilla box; the signal box is dim
     q = np.zeros((3, box, dim))
     if target_present:
         # a weight that underflowed to zero touches no sector
-        probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), box), "b")
+        probs = np.trim_zeros(thermal_probabilities(n_b / (1.0 - kappa), box), "b")
         n = dim + len(probs) - 1
-        u = _bs_sector_unitary(math.acos(math.sqrt(p.kappa)), n - 1, box, dim)
+        u = _bs_sector_unitary(math.acos(math.sqrt(kappa)), n - 1, box, dim)
         weights = np.zeros((n, dim))  # p_(N-s) at [N, s]
         for s in range(dim):
             weights[s : s + len(probs), s] = probs
@@ -155,7 +157,7 @@ def receiver_count_moments(
             q[d, d:, d:] = np.einsum("ns,nrs,nrs->rs", weights[d:, d:], u[d:, d:, d:],
                                      u[: n - d, : box - d, : dim - d])
     else:
-        q[0] = thermal_probabilities(p.n_b, box)[:, None]
+        q[0] = thermal_probabilities(n_b, box)[:, None]
     r = np.arange(float(box))
     row_weights = np.array([np.ones(box), r, (r + 1.0) * (r < box - 1),
                             np.sqrt(r), np.sqrt(r * (r - 1.0))])

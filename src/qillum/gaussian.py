@@ -59,10 +59,10 @@ _FLOAT_MAX = np.finfo(float).max
 
 def _require(ok, value, message: str) -> None:
     """Raise ``message`` naming the first element of ``value`` where ``ok`` fails."""
-    bad = ~np.asarray(ok)
-    if bad.any():
-        raise ValueError(message.format(np.ravel(value).tolist()[np.argmax(bad)]
-                                        if bad.ndim else value))
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise ValueError(message.format(np.ravel(value).tolist()[np.argmin(ok)]
+                                        if ok.ndim else value))
 
 
 def _item(x):
@@ -70,14 +70,30 @@ def _item(x):
     return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
-def _real(value, name: str):
-    """``value``, a list or tuple made an array; a bool, which numpy reads as 1.0, is refused."""
+def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
+    """The one reader of a real input: ``value`` of the field ``name``.
+
+    A bool, which numpy reads as 1.0, is refused, also inside a list, tuple
+    or array; a list or tuple is made an array.  With ``lo``, every element
+    must be finite and >= ``lo``, or, with ``hi``, lie in [``lo``, ``hi``),
+    or [``lo``, ``hi``] if ``closed``; the first one outside is named.  A
+    ``scalar`` field must be one real and is returned as a Python float.
+    """
     arr = np.asarray(value, dtype=object) if isinstance(value, (list, tuple)) else value
     if isinstance(arr, (bool, np.bool_)) or isinstance(arr, np.ndarray) and (
             arr.dtype == bool or arr.dtype == object and any(
                 isinstance(v, (bool, np.bool_)) for v in arr.ravel().tolist())):
         raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
-    return value if arr is value else np.asarray(value)
+    if scalar and not isinstance(arr[()] if isinstance(arr, np.ndarray) else arr, numbers.Real):
+        raise ValueError(f"{name} must be a real scalar, got {value!r}")
+    value = value if arr is value else np.asarray(value)
+    if lo is not None:
+        x = np.asarray(value)
+        below = (x <= _FLOAT_MAX) if hi is None else (x <= hi) if closed else (x < hi)
+        message = (f"{name} must be finite and >= {lo}, got {{}}" if hi is None
+                   else f"{name} must lie in [{lo}, {hi}{']' if closed else ')'}, got {{}}")
+        _require((x >= lo) & below, value, message)
+    return float(value) if scalar else value
 
 
 def _db_to_linear(db) -> float:
@@ -159,10 +175,7 @@ class GainSpec:
     linear: float
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", _real(self.linear, "gain"))
-        linear = np.asarray(self.linear)
-        _require((linear >= 1.0) & (linear <= _FLOAT_MAX), self.linear,
-                 "gain must be finite and >= 1, got {}")
+        object.__setattr__(self, "linear", _real(self.linear, "gain", 1))
 
     @property
     def db(self) -> float:
@@ -189,12 +202,7 @@ def tmsv_covariance(n_s: float) -> TwoModeCovariance:
     The diagonal is nu/2 with nu = 2*n_s + 1; the q-q (p-p) cross entry is
     +c/2 (-c/2) with c = 2*sqrt(n_s*(n_s + 1)).  ``n_s = 0`` is the vacuum.
     """
-    n_s = _real(n_s, "mean photon number")
-    if not isinstance(n_s[()] if isinstance(n_s, np.ndarray) else n_s, numbers.Real):
-        raise ValueError(f"mean photon number must be a real scalar, got {n_s!r}")
-    if not 0 <= np.asarray(n_s) <= _FLOAT_MAX:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {n_s}")
-    n_s = float(n_s)
+    n_s = _real(n_s, "mean photon number", 0, scalar=True)
     nu = 2.0 * n_s + 1.0
     c = 2.0 * math.sqrt(n_s * (n_s + 1.0))
     m = 0.5 * np.array(
@@ -217,7 +225,8 @@ def amplify_mode(
     state: TwoModeCovariance, mode_index: int, gain: GainSpec
 ) -> TwoModeCovariance:
     """Phase-sensitive amplification of one mode: q -> G*q, p -> p/G."""
-    if mode_index not in (1, 2):
+    if not (type(mode_index) is int or isinstance(mode_index, np.integer)) or (
+            mode_index not in (1, 2)):  # a bool or a float is no index
         raise ValueError(f"mode_index must be 1 or 2, got {mode_index}")
     g = gain.linear
     diag = [g, 1.0 / g, 1.0, 1.0] if mode_index == 1 else [1.0, 1.0, g, 1.0 / g]
@@ -236,11 +245,8 @@ def apply_target_channel(
     under both hypotheses and the target leaves no passive signature.
     Callers always pass the observed background ``n_b``.
     """
-    kappa, n_b = _real(kappa, "reflectance"), _real(n_b, "background brightness")
-    if not (0.0 <= kappa <= 1.0):
-        raise ValueError(f"reflectance must lie in [0, 1], got {kappa}")
-    if not math.isfinite(n_b) or n_b < 0:
-        raise ValueError(f"background brightness must be finite and >= 0, got {n_b}")
+    kappa = _real(kappa, "reflectance", 0, 1, closed=True, scalar=True)
+    n_b = _real(n_b, "background brightness", 0, scalar=True)
     omega = 2.0 * n_b + 1.0
     m = np.array(state.matrix)
     if target_present:

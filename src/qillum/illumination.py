@@ -20,7 +20,6 @@ import numpy as np
 from .gaussian import (
     GainSpec,
     TwoModeCovariance,
-    _FLOAT_MAX,
     _item,
     _real,
     _require,
@@ -60,16 +59,9 @@ class ScenarioParams:
     modes: int
 
     def __post_init__(self):
-        for name, what in (("n_s", "signal brightness"), ("n_b", "background brightness"),
-                           ("kappa", "reflectance")):
-            object.__setattr__(self, name, _real(getattr(self, name), what))
-        n_s, n_b, kappa = map(np.asarray, (self.n_s, self.n_b, self.kappa))
-        _require((n_s >= 0) & (n_s <= _FLOAT_MAX), self.n_s,
-                 "signal brightness must be finite and >= 0, got {}")
-        _require((n_b >= 0) & (n_b <= _FLOAT_MAX), self.n_b,
-                 "background brightness must be finite and >= 0, got {}")
-        _require((0.0 <= kappa) & (kappa < 1.0), self.kappa,
-                 "reflectance must lie in [0, 1), got {}")
+        for name, what in (("n_s", "signal brightness"), ("n_b", "background brightness")):
+            object.__setattr__(self, name, _real(getattr(self, name), what, 0))
+        object.__setattr__(self, "kappa", _real(self.kappa, "reflectance", 0, 1))
         modes = np.asarray(self.modes, dtype=object)  # elements as given: a bool is no count
         modes_ok = [(type(m) is int or isinstance(m, np.integer)) and m >= 1
                     for m in modes.ravel().tolist()]

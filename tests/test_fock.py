@@ -269,10 +269,18 @@ class TestBuildingBlocks:
         assert probs[10] / probs[9] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert probs.sum() == pytest.approx(1.0 - (2.0 / 3.0) ** 50, rel=1e-12)
 
-    @pytest.mark.parametrize("nbar", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("nbar", [-1.0, math.inf, math.nan,
+                                      # past float64's range: a ValueError, not an OverflowError
+                                      pytest.param(10**400, id="1e400")])
     def test_thermal_probabilities_refuse_a_bad_brightness(self, nbar):
         with pytest.raises(ValueError, match=r"^thermal brightness must be finite and >= 0"):
             thermal_probabilities(nbar, 5)
+
+    @pytest.mark.parametrize("nbar", [[1.0, 2.0], np.array([1.0]), (0.5,), "0.5"], ids=repr)
+    def test_thermal_probabilities_refuse_a_non_scalar(self, nbar):
+        # a TypeError from math.isfinite before the brightness was read as one real
+        with pytest.raises(ValueError, match=r"^thermal brightness must be a real scalar, got "):
+            thermal_probabilities(nbar, 3)
 
     @pytest.mark.parametrize("nbar", [True, np.False_])
     def test_thermal_probabilities_refuse_a_bool(self, nbar):
@@ -454,6 +462,17 @@ class TestOracleState:
         with pytest.raises(ValueError):
             receiver_count_moments(params(0.1, 0.5, 0.1, 2.0), 1, target_present=True)
 
+    @pytest.mark.parametrize("dim", [2.5, 6.0, True, np.True_, "6"], ids=repr)
+    @pytest.mark.parametrize("present", [False, True])
+    def test_validation_refuses_a_dim_that_is_no_integer(self, dim, present):
+        # 2.5 once raised a TypeError from range(), and True was read as 1
+        with pytest.raises(ValueError, match=r"^truncation dimension must be an integer, got "):
+            receiver_count_moments(params(0.1, 0.5, 0.1, 2.0), dim, present)
+
+    def test_validation_takes_a_numpy_integer_dim(self):
+        p = params(0.1, 0.5, 0.1, 2.0)
+        assert receiver_count_moments(p, np.int64(6), True) == receiver_count_moments(p, 6, True)
+
     def test_leakage_decreases_with_dim(self):
         p = params(0.5, 1.0, 0.5, 2.0)
         leakages = [
@@ -515,6 +534,19 @@ class TestCountMoments:
             assert stats.mean == pytest.approx(mean, rel=4e-15, abs=0.0)
             assert stats.variance == pytest.approx(variance, rel=4e-15, abs=0.0)
             assert leak == pytest.approx(leakage, rel=0.0, abs=4e-15)
+
+    @pytest.mark.parametrize("present", [False, True])
+    @pytest.mark.parametrize("nb, kappa", [(np.float32(0.5), 0.3), (0.5, np.float32(0.3)),
+                                           (np.float32(0.5), np.float32(0.3))], ids=repr)
+    def test_a_float32_field_is_read_in_float64(self, nb, kappa, present):
+        # numpy keeps a float32 scalar in float32 through Python-float arithmetic:
+        # at n_b = float32(0.5) H0 once read variance 2.04999996535, leakage 4.5e-8
+        stats, leak = receiver_count_moments(params(0.1, nb, kappa, 2.0), 30, present)
+        ref, ref_leak = receiver_count_moments(params(0.1, float(nb), float(kappa), 2.0), 30,
+                                               present)
+        assert stats.mean == pytest.approx(ref.mean, rel=4e-15, abs=0.0)
+        assert stats.variance == pytest.approx(ref.variance, rel=4e-15, abs=0.0)
+        assert leak == pytest.approx(ref_leak, rel=0.0, abs=4e-15)
 
     @pytest.mark.parametrize("present", [False, True])
     @pytest.mark.parametrize("g", [1.0, 1.7, 31.6, 1000.0])

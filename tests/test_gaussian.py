@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from qillum import gaussian
 from qillum.gaussian import (
     SYMPLECTIC_FORM,
     GainSpec,
@@ -210,6 +213,17 @@ class TestAmplifyMode:
         with pytest.raises(ValueError):
             amplify_mode(tmsv_covariance(1.0), 3, GainSpec(2.0))
 
+    @pytest.mark.parametrize("bad", [True, np.True_, False, 1.0, np.float64(2.0)], ids=repr)
+    def test_refuses_a_mode_index_that_is_no_integer(self, bad):
+        # True once amplified mode 1
+        with pytest.raises(ValueError, match=r"^mode_index must be 1 or 2, got "):
+            amplify_mode(tmsv_covariance(1.0), bad, GainSpec(2.0))
+
+    def test_takes_a_numpy_integer_mode_index(self):
+        v = tmsv_covariance(1.0)
+        out = amplify_mode(v, np.int64(2), GainSpec(2.0)).matrix
+        assert np.array_equal(out, amplify_mode(v, 2, GainSpec(2.0)).matrix)
+
 
 class TestTargetChannel:
     def test_zero_reflectance_hides_target(self):
@@ -254,6 +268,20 @@ class TestTargetChannel:
     def test_rejects_negative_background(self):
         with pytest.raises(ValueError, match=r"^background brightness must be finite and >= 0"):
             apply_target_channel(tmsv_covariance(1.0), 0.1, -1.0, target_present=True)
+
+    @pytest.mark.parametrize("kappa, nb, message", [
+        # a TypeError or an OverflowError before each field was read as one real
+        ([0.5], 1.0, r"^reflectance must be a real scalar, got \[0\.5\]$"),
+        (0.5, [1.0], r"^background brightness must be a real scalar, got \[1\.0\]$"),
+        (np.array([0.5]), 1.0, r"^reflectance must be a real scalar, got array"),
+        (0.5, (1.0, 2.0), r"^background brightness must be a real scalar, got \(1\.0, 2\.0\)$"),
+        (0.5, 10**400, r"^background brightness must be finite and >= 0, got 1000+$"),
+        (10**400, 1.0, r"^reflectance must lie in \[0, 1\], got 1000+$"),
+    ], ids=["list-kappa", "list-nb", "array-kappa", "tuple-nb", "1e400-nb", "1e400-kappa"])
+    @pytest.mark.parametrize("present", [False, True])
+    def test_names_the_field_of_a_bad_real(self, kappa, nb, message, present):
+        with pytest.raises(ValueError, match=message):
+            apply_target_channel(tmsv_covariance(1.0), kappa, nb, target_present=present)
 
     def test_refuses_a_bool(self):
         probe = tmsv_covariance(1.0)
@@ -373,3 +401,24 @@ class TestSymplecticMachinery:
                 rotate_phase(v, 0.9),
             ):
                 assert abs_sympl_spectrum(out.matrix)[0] >= 0.5 - 1e-9
+
+
+def test_only_the_real_reader_words_a_range_rule():
+    # the rule for a valid real is written once, in gaussian._real; any other
+    # string saying "must be finite" or "must lie in" is a second copy of it
+    phrases = ("must be finite", "must lie in")
+    outside, inside = [], set()
+    for path in sorted(pathlib.Path(gaussian.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {id(node) for top in tree.body if path.name == "gaussian.py"
+                  and isinstance(top, ast.FunctionDef) and top.name == "_real"
+                  for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase in phrases:
+                    if phrase in node.value and id(node) in reader:
+                        inside.add(phrase)
+                    elif phrase in node.value:
+                        outside.append((path.name, node.lineno, phrase))
+    assert outside == []
+    assert inside == set(phrases)  # the reader itself states both range forms
