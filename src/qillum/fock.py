@@ -23,7 +23,11 @@ theta that the splitter applies to (a^dag, b^dag), one complex multiply by
 e^(i theta) of modulus one.  J J^T = (a^dag a + b^dag b)/N = 1 on the sector,
 so each step has norm one: an error already in U_{N-1} is carried, never
 amplified, and rounding grows at most linearly in N (~1e-14 at N = 250).
-Only the kept rows and columns are formed, and no sector needs an eigenproblem.
+The thermal ancilla rides in the same step: its weights p_n = (1 - x) x^n
+are geometric, so x^((N-k)/2) U_N[r, k] obeys the step with the
+ancilla-photon term times sqrt(x), at norm <= 1.  Only the kept rows, the
+kept signal columns and the band of ancilla numbers n = N - k with a nonzero
+weight are formed, and no sector needs an eigenproblem.
 
 Truncation handling: the received and ancilla modes live in working
 spaces padded beyond the requested dimension, and every crop *discards*
@@ -40,6 +44,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .gaussian import _real
 from .illumination import CountStats, ScenarioParams
@@ -61,11 +66,13 @@ def thermal_probabilities(nbar: float, dim: int) -> np.ndarray:
     return (1.0 - ratio) * ratio ** np.arange(dim)
 
 
-# One stack per (kappa, box): an H1 call reads it once, and at dim 60 it
-# holds 5.3 MB, so only the latest is kept.
+# One stack per (kappa, thermal amplitude, box): an H1 call reads it once,
+# and at dim 60 it holds 5.3 MB, so only the latest is kept.
 @lru_cache(maxsize=1)
-def _bs_sector_unitary(theta: float, n_top: int, rows: int, cols: int) -> np.ndarray:
-    """Kept blocks u[N] = U_N[:rows, :cols] of the beam-splitter sectors N = 0..n_top.
+def _bs_sector_unitary(
+    theta: float, n_top: int, rows: int, cols: int, amp: float, band: int
+) -> np.ndarray:
+    """Kept blocks u[N] = amp^(N-k) U_N[:rows, :cols] of the beam-splitter sectors N = 0..n_top.
 
     U_N is exp(theta (a^dag b - a b^dag)) on the N-photon sector, basis
     |k, N - k>.  With c = cos(theta), s = sin(theta) and U_0 = [[1]], each
@@ -75,26 +82,51 @@ def _bs_sector_unitary(theta: float, n_top: int, rows: int, cols: int) -> np.nda
                       - s sqrt((N-r) k) U_{N-1}[r, k-1] + c sqrt(r k) U_{N-1}[r-1, k-1]
 
     Entry [r, k] reads only entries at or above-left of it, so the kept block
-    recurs on its own.  A step packs z = (sqrt(N-k) U_{N-1}[r, k] + i sqrt(k) U_{N-1}[r, k-1]) / N
-    and turns it by one norm-one multiply, w = (c + i s) z; then U_N[r, k] =
-    sqrt(N-r) Re w[r, k] + sqrt(r) Im w[r-1, k].  The stack is read-only.
+    recurs on its own.  u_N = amp^(N-k) U_N obeys the same step with its
+    sqrt(N-k) terms times ``amp``, so a thermal ancilla of ratio amp^2 rides
+    in the step as amplitudes, and a step still has norm <= 1 for amp <= 1.
+    Only the band N - k < ``band`` is formed: it reads only itself, and every
+    entry outside it stays 0.  A step packs
+    z = (amp sqrt(N-k) u_{N-1}[r, k] + i sqrt(k) u_{N-1}[r, k-1]) / N and turns
+    it by one norm-one multiply, w = (c + i s) z; then u_N[r, k] =
+    sqrt(N-r) Re w[r, k] + sqrt(r) Im w[r-1, k], over every kept row (rows
+    past N come out 0).  The stack is read-only.  Its memory is [N, k, r], so
+    a sector's band is one run and each column is contiguous in r; it is
+    returned as an [N, r, k]-indexed view.
     """
-    u = np.zeros((n_top + 1, rows, cols))
+    u = np.zeros((n_top + 1, cols, rows))
     u[0, 0, 0] = 1.0
-    root = np.sqrt(np.arange(n_top + 1.0))  # sqrt(j); root[N::-1] is sqrt(N - j)
+    # over[N - 1, j] = sqrt(j) / N, so over[N - 1, N::-1] is sqrt(N - j) / N;
+    # down[N - 1, r] = sqrt(N - r), 0 past N; up is sqrt(r) at the flat index k * rows + r
+    sector = np.arange(1.0, n_top + 1.0)[:, None]
+    over = np.sqrt(np.arange(n_top + 1.0)) / sector
+    amp_over = amp * over
+    down = np.sqrt(np.maximum(sector - np.arange(rows), 0.0))
+    up = np.tile(np.sqrt(np.arange(rows)), cols)
     turn = complex(math.cos(theta), math.sin(theta))
-    buf = np.empty((rows, cols), complex)
+    buf = np.empty((cols, rows), complex)
     for n in range(1, n_top + 1):
-        r, k = min(n + 1, rows), min(n + 1, cols)
-        prev, out, z, down = u[n - 1, :r, :k], u[n, :r, :k], buf[:r, :k], root[n::-1]
-        np.multiply(prev, down[:k] / n, out=z.real)
-        np.multiply(prev[:, :-1], root[1:k] / n, out=z.imag[:, 1:])
-        z.imag[:, 0] = 0.0
+        lo, k = max(0, n + 1 - band), min(n + 1, cols)
+        first = max(lo, 1)  # column 0 has no column k - 1 to read
+        prev, out, z = u[n - 1], u[n, lo:k], buf[lo:k]
+        np.multiply(prev[lo:k], amp_over[n - 1, n::-1][lo:k, None], out=z.real)
+        np.multiply(prev[first - 1 : k - 1], over[n - 1, first:k, None], out=z.imag[first - lo :])
+        z.imag[: first - lo] = 0.0
         z *= turn
-        np.multiply(down[:r, None], z.real, out=out)
-        out[1:] += root[1:r, None] * z.imag[:-1]
+        np.multiply(down[n - 1], z.real, out=out)
+        # whole rows are one run in memory, so Im w[r-1] is the flat neighbour;
+        # at r = 0 it is the row above, and sqrt(0) drops it
+        flat = out.reshape(-1)
+        flat[1:] += up[1 : flat.size] * z.imag.reshape(-1)[:-1]
     u.flags.writeable = False
-    return u
+    return u.transpose(0, 2, 1)
+
+
+def _sheared(u: np.ndarray, band: int) -> np.ndarray:
+    """Read-only sheared view v[n, s, r] = u[n + s, r, s] of an [N, r, k]-indexed
+    stack: ancilla number n < ``band`` and signal number s, over the rows r."""
+    step, row, col = u.strides
+    return as_strided(u, (band, u.shape[2], u.shape[1]), (step, step + col, row), writeable=False)
 
 
 def _idler_sums(p: ScenarioParams, dim: int) -> np.ndarray:
@@ -107,10 +139,12 @@ def _idler_sums(p: ScenarioParams, dim: int) -> np.ndarray:
     and s - 2, 2 (1 - lam^2) lam^(2s-1) sqrt(s) sinh r and
     2 (1 - lam^2) lam^(2s-2) sqrt(s (s - 1)) sinh^2 r.
     """
-    g = p.gain.linear  # e^r: no log/exp round trip, as the covariance route's q -> Gq, p -> p/G
+    # e^r: no log/exp round trip, as the covariance route's q -> Gq, p -> p/G;
+    # a float32 field is read in float64
+    g, n_s = float(p.gain.linear), float(p.n_s)
     cosh, sinh, cosh2 = 0.5 * (g + 1.0 / g), 0.5 * (g - 1.0 / g), 0.5 * (g * g + 1.0 / (g * g))
     s = np.arange(float(dim))
-    amp = math.sqrt(p.n_s / (p.n_s + 1.0)) ** s / math.sqrt(p.n_s + 1.0)  # sqrt(w_s)
+    amp = math.sqrt(n_s / (n_s + 1.0)) ** s / math.sqrt(n_s + 1.0)  # sqrt(w_s)
     weight = amp * amp
     sums = np.zeros((5, dim))
     sums[0] = weight
@@ -134,7 +168,11 @@ def receiver_count_moments(
     row weight in r, an idler sum at s and an offset sum q_d[r, s], d = 0, 1, 2.
     With the target present, ancilla branch n sends signal s into splitter
     sector N = s + n and X never touches the traced-out port, so
-    q_d[r, s] = sum_N p_(N-s) U_N[r, s] U_(N-d)[r-d, s-d].  Without it the
+    q_d[r, s] = sum_n p_n U_(s+n)[r, s] U_(s+n-d)[r-d, s-d].  With
+    p_n = (1 - x) x^n and the stack u_N = x^((N-k)/2) U_N read through the
+    sheared view v[n, s, r] = u_(s+n)[r, s], that is
+    q_d[r, s] = (1 - x) sum_n v[n, s, r] v[n, s-d, r-d], one two-operand sum
+    over the n < L with a nonzero weight p_n in the ancilla box.  Without it the
     received mode is the thermal ancilla, independent of the idler:
     q_0[r, s] = p_r and q_1 = q_2 = 0, so the mean is 0.
     """
@@ -146,16 +184,15 @@ def receiver_count_moments(
     box = dim + _PAD_MIX  # the received and the ancilla box; the signal box is dim
     q = np.zeros((3, box, dim))
     if target_present:
-        # a weight that underflowed to zero touches no sector
-        probs = np.trim_zeros(thermal_probabilities(n_b / (1.0 - kappa), box), "b")
-        n = dim + len(probs) - 1
-        u = _bs_sector_unitary(math.acos(math.sqrt(kappa)), n - 1, box, dim)
-        weights = np.zeros((n, dim))  # p_(N-s) at [N, s]
-        for s in range(dim):
-            weights[s : s + len(probs), s] = probs
+        nbar = n_b / (1.0 - kappa)
+        x = nbar / (nbar + 1.0)
+        band = np.count_nonzero(thermal_probabilities(nbar, box))  # an underflowed weight is 0
+        u = _bs_sector_unitary(math.acos(math.sqrt(kappa)), dim + band - 2, box, dim,
+                               math.sqrt(x), band)
+        v = _sheared(u, band)
         for d in range(3):
-            q[d, d:, d:] = np.einsum("ns,nrs,nrs->rs", weights[d:, d:], u[d:, d:, d:],
-                                     u[: n - d, : box - d, : dim - d])
+            q[d, d:, d:] = np.einsum("nsr,nsr->rs", v[:, d:, d:], v[:, : dim - d, : box - d])
+        q *= 1.0 - x
     else:
         q[0] = thermal_probabilities(n_b, box)[:, None]
     r = np.arange(float(box))

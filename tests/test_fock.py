@@ -17,6 +17,7 @@ from qillum.fock import (
     LEAKAGE_WARNING_THRESHOLD,
     _bs_sector_unitary,
     _idler_sums,
+    _sheared,
     receiver_count_moments,
     thermal_probabilities,
 )
@@ -244,7 +245,8 @@ def five_table_moments(p, dim, target_present):
         return 0.0, float(second), max(0.0, 1.0 - float(probs.sum() * sums[0].sum()))
     probs = np.trim_zeros(thermal_probabilities(p.n_b / (1.0 - p.kappa), box), "b")
     n_top = dim + len(probs) - 2
-    u = _bs_sector_unitary.__wrapped__(math.acos(math.sqrt(p.kappa)), n_top, box, dim)
+    u = _bs_sector_unitary.__wrapped__(math.acos(math.sqrt(p.kappa)), n_top, box, dim, 1.0,
+                                       n_top + 1)
     r = np.arange(float(box))
     tables = np.zeros((5, n_top + 1, dim))
     for k, (d, w) in enumerate([(0, np.ones(box)), (0, r), (0, (r + 1.0) * (r < box - 1)),
@@ -391,6 +393,28 @@ class TestBuildingBlocks:
         banned = {"@", "optimize=", "dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
         assert [(line, name) for line, name in names if name in banned] == []
 
+    def test_every_strided_view_is_read_only(self):
+        # rows of a sheared view overlap in memory, and the stack behind it is
+        # cached: one write through the view would corrupt every later call
+        calls = []
+        for path in sorted(pathlib.Path(fock.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and "as_strided" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    read_only = any(kw.arg == "writeable" and isinstance(kw.value, ast.Constant)
+                                    and kw.value.value is False for kw in node.keywords)
+                    calls.append((path.name, node.lineno, read_only))
+        assert [call for call in calls if not call[2]] == []
+
+    def test_sheared_view_is_the_ancilla_gather(self):
+        # v[n, s, r] = u[n + s, r, s]: ancilla number n, signal number s
+        dim, band = 12, 9
+        stack = _bs_sector_unitary.__wrapped__(0.7, dim + band - 2, dim + _PAD_MIX, dim, 0.6, band)
+        view = _sheared(stack, band)
+        n, s = np.ogrid[:band, :dim]
+        assert not view.flags.writeable
+        assert np.array_equal(view, stack[n + s, :, s])
+
 
 class TestExponentialsAgainstExpm:
     # expm is trusted to its own orthogonality defect, which reaches ~3e-12
@@ -406,7 +430,8 @@ class TestExponentialsAgainstExpm:
         lower[k + 1, k] = theta * np.sqrt((k + 1.0) * (n_total - k))
         reference = expm(lower - lower.T)
         defect = np.abs(reference.T @ reference - np.eye(n_total + 1)).max()
-        u = _bs_sector_unitary.__wrapped__(theta, n_total, n_total + 1, n_total + 1)[n_total]
+        u = _bs_sector_unitary.__wrapped__(theta, n_total, n_total + 1, n_total + 1, 1.0,
+                                           n_total + 1)[n_total]
         assert np.abs(u - reference).max() <= 1e-12 + defect
         assert np.abs(u.T @ u - np.eye(n_total + 1)).max() < 1e-13
 
@@ -418,7 +443,8 @@ class TestExponentialsAgainstExpm:
         # leave ~30 after cancellation
         theta = math.acos(math.sqrt(kappa))
         idx = sorted(set(range(0, n_total + 1, n_total // 15)) | {n_total})
-        u = _bs_sector_unitary.__wrapped__(theta, n_total, n_total + 1, n_total + 1)[n_total]
+        u = _bs_sector_unitary.__wrapped__(theta, n_total, n_total + 1, n_total + 1, 1.0,
+                                           n_total + 1)[n_total]
         assert np.abs(u[np.ix_(idx, idx)] - sector_50_digits(n_total, theta, idx)).max() < 1e-13
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.5, 0.999])
@@ -428,7 +454,7 @@ class TestExponentialsAgainstExpm:
         # sectors up to N = 2 dim + 18 (78 at dim 30, 138 at dim 60)
         rows, n_top = dim + _PAD_MIX, 2 * dim + _PAD_MIX - 2
         theta = math.acos(math.sqrt(kappa))
-        stack = _bs_sector_unitary.__wrapped__(theta, n_top, rows, dim)
+        stack = _bs_sector_unitary.__wrapped__(theta, n_top, rows, dim, 1.0, n_top + 1)
         assert not stack.flags.writeable
         assert stack.dtype == np.float64 and stack.shape == (n_top + 1, rows, dim)
         for n_total in range(n_top + 1):
@@ -436,6 +462,24 @@ class TestExponentialsAgainstExpm:
             full = sector_reference(n_total, theta)[:rows, :dim]
             block[: full.shape[0], : full.shape[1]] = full
             assert np.abs(stack[n_total] - block).max() < 1e-13
+
+    @pytest.mark.parametrize("amp, band", [(0.8, 32), (0.8, 5), (1e-6, 28), (0.0, 1)])
+    def test_beam_splitter_band_carries_the_thermal_amplitude(self, amp, band):
+        # u[N][r, k] = amp^(N-k) U_N[r, k] on the band N - k < band and exactly 0
+        # off it; every term of column k carries amp^(N-k), so rounding scales with it
+        dim, rows, theta = 12, 12 + _PAD_MIX, math.acos(math.sqrt(0.3))
+        n_top = dim + band - 2
+        stack = _bs_sector_unitary.__wrapped__(theta, n_top, rows, dim, amp, band)
+        k = np.arange(dim)
+        for n_total in range(n_top + 1):
+            block = np.zeros((rows, dim))
+            full = sector_reference(n_total, theta)[:rows, :dim]
+            block[: full.shape[0], : full.shape[1]] = full
+            scale = np.where(k <= n_total, amp ** np.maximum(n_total - k, 0), 0.0)
+            in_band = n_total - k < band
+            assert np.all(stack[n_total][:, ~in_band] == 0.0)
+            error = np.abs(stack[n_total] - block * scale)[:, in_band]
+            assert np.all(error <= 1e-13 * scale[in_band])
 
     @pytest.mark.parametrize("gain", [1.1, 2.0, 4.0, 10.0, 31.6])
     @pytest.mark.parametrize("dim", [3, 60, 108, 156, 216])
@@ -549,6 +593,18 @@ class TestCountMoments:
         assert leak == pytest.approx(ref_leak, rel=0.0, abs=4e-15)
 
     @pytest.mark.parametrize("present", [False, True])
+    @pytest.mark.parametrize("ns, g", [(np.float32(0.1), 2.0), (0.1, np.float32(1.7)),
+                                       (np.float32(0.1), np.float32(1.7))], ids=repr)
+    def test_a_float32_signal_or_gain_is_read_in_float64(self, ns, g, present):
+        # the idler sums once computed in float32: at n_s = float32(0.1), G = 2
+        # H0 read variance 1.5e-8 relative off and leakage 1.9e-8
+        stats, leak = receiver_count_moments(params(ns, 0.5, 0.3, g), 30, present)
+        ref, ref_leak = receiver_count_moments(params(float(ns), 0.5, 0.3, float(g)), 30, present)
+        assert stats.mean == pytest.approx(ref.mean, rel=4e-15, abs=0.0)
+        assert stats.variance == pytest.approx(ref.variance, rel=4e-15, abs=0.0)
+        assert leak == pytest.approx(ref_leak, rel=0.0, abs=4e-15)
+
+    @pytest.mark.parametrize("present", [False, True])
     @pytest.mark.parametrize("g", [1.0, 1.7, 31.6, 1000.0])
     @pytest.mark.parametrize("dim", [2, 3, 12, 30, 60])
     def test_offset_sums_match_the_five_table_contraction(self, dim, g, present):
@@ -561,6 +617,49 @@ class TestCountMoments:
             assert stats.mean == pytest.approx(mean, rel=4e-15, abs=0.0)
             assert stats.variance == pytest.approx(variance, rel=4e-15, abs=0.0)
             assert leak == pytest.approx(leakage, rel=0.0, abs=4e-15)
+
+    @pytest.mark.parametrize("present", [False, True])
+    @pytest.mark.parametrize("g", [1.0, 1000.0])
+    @pytest.mark.parametrize("dim", [2, 12, 60])
+    @pytest.mark.parametrize("nb, kappa", [(0.5, 0.999), (1e-12, 0.3), (0.0, 0.3)],
+                             ids=["full-band", "short-band", "one-number"])
+    def test_folded_thermal_weights_hold_at_the_band_edges(self, nb, kappa, dim, g, present):
+        # kappa = 0.999: x = 0.998 and the band is the whole ancilla box (80 at
+        # dim 60); n_b = 1e-12: ~28 numbers whose amplitude products reach 1e-312;
+        # n_b = 0: x = 0 and one number.  The weight x^n of ancilla number n is
+        # a chain of n multiplies by sqrt(x), so it carries up to n eps, 8.8e-15
+        # at n = 79; the moments average it, and 4.9e-15 was measured (mean
+        # 3.6e-15).  Leakage reads the trace alone and keeps the grid's bound.
+        for ns in (0.01, 1.0):
+            p = params(ns, nb, kappa, g)
+            mean, variance, leakage = five_table_moments(p, dim, present)
+            stats, leak = receiver_count_moments(p, dim, present)
+            assert stats.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
+            assert stats.variance == pytest.approx(variance, rel=1e-14, abs=0.0)
+            assert leak == pytest.approx(leakage, rel=0.0, abs=4e-15)
+
+    @pytest.mark.parametrize("dim", [12, 60])
+    @pytest.mark.parametrize("nb, kappa", [(0.5, 0.3), (1e-12, 0.3), (0.0, 0.5)])
+    def test_the_contraction_reads_only_the_band(self, monkeypatch, nb, kappa, dim):
+        # the stack's entries off the band N - k < L made NaN: bit-identical moments
+        p = params(0.3, nb, kappa, 1.7)
+        expected = receiver_count_moments(p, dim, True)
+        poisoned_entries = []
+
+        def poisoned(theta, n_top, rows, cols, amp, band):
+            clean = _bs_sector_unitary(theta, n_top, rows, cols, amp, band)
+            stack = np.copy(clean, order="K")  # the same memory layout
+            assert stack.strides == clean.strides
+            big_n, _, k = np.ogrid[: n_top + 1, :rows, :cols]
+            off_band = np.broadcast_to(big_n - k >= band, stack.shape)
+            stack[off_band] = np.nan
+            stack.flags.writeable = False
+            poisoned_entries.append(int(off_band.sum()))
+            return stack
+
+        monkeypatch.setattr(fock, "_bs_sector_unitary", poisoned)
+        assert receiver_count_moments(p, dim, True) == expected
+        assert len(poisoned_entries) == 1 and poisoned_entries[0] > 0
 
     def test_reduced_sums_match_dense_blocks_at_dim_30(self):
         p = params(0.3, 0.6, 0.3, 1.7)
