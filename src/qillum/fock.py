@@ -122,11 +122,13 @@ def _bs_sector_unitary(
     return u.transpose(0, 2, 1)
 
 
-def _sheared(u: np.ndarray, band: int) -> np.ndarray:
+def _sheared(u: np.ndarray) -> np.ndarray:
     """Read-only sheared view v[n, s, r] = u[n + s, r, s] of an [N, r, k]-indexed
-    stack: ancilla number n < ``band`` and signal number s, over the rows r."""
+    stack: signal number s, and every ancilla number n whose sector n + s is in
+    the stack for each s, so the view never reaches past the stack."""
+    sectors, rows, cols = u.shape
     step, row, col = u.strides
-    return as_strided(u, (band, u.shape[2], u.shape[1]), (step, step + col, row), writeable=False)
+    return as_strided(u, (sectors - cols + 1, cols, rows), (step, step + col, row), writeable=False)
 
 
 def _idler_sums(p: ScenarioParams, dim: int) -> np.ndarray:
@@ -189,7 +191,7 @@ def receiver_count_moments(
         band = np.count_nonzero(thermal_probabilities(nbar, box))  # an underflowed weight is 0
         u = _bs_sector_unitary(math.acos(math.sqrt(kappa)), dim + band - 2, box, dim,
                                math.sqrt(x), band)
-        v = _sheared(u, band)
+        v = _sheared(u)
         for d in range(3):
             q[d, d:, d:] = np.einsum("nsr,nsr->rs", v[:, d:, d:], v[:, : dim - d, : box - d])
         q *= 1.0 - x

@@ -396,21 +396,23 @@ class TestBuildingBlocks:
     def test_every_strided_view_is_read_only(self):
         # rows of a sheared view overlap in memory, and the stack behind it is
         # cached: one write through the view would corrupt every later call
-        calls = []
+        writable = []
         for path in sorted(pathlib.Path(fock.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call) and "as_strided" in (
+                if not isinstance(node, ast.Call) or "as_strided" not in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    read_only = any(kw.arg == "writeable" and isinstance(kw.value, ast.Constant)
-                                    and kw.value.value is False for kw in node.keywords)
-                    calls.append((path.name, node.lineno, read_only))
-        assert [call for call in calls if not call[2]] == []
+                    continue
+                if not any(kw.arg == "writeable" and isinstance(kw.value, ast.Constant)
+                           and kw.value.value is False for kw in node.keywords):
+                    writable.append((path.name, node.lineno))
+        assert writable == []
 
     def test_sheared_view_is_the_ancilla_gather(self):
         # v[n, s, r] = u[n + s, r, s]: ancilla number n, signal number s
         dim, band = 12, 9
         stack = _bs_sector_unitary.__wrapped__(0.7, dim + band - 2, dim + _PAD_MIX, dim, 0.6, band)
-        view = _sheared(stack, band)
+        view = _sheared(stack)
+        assert view.shape == (band, dim, dim + _PAD_MIX)
         n, s = np.ogrid[:band, :dim]
         assert not view.flags.writeable
         assert np.array_equal(view, stack[n + s, :, s])
