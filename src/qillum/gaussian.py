@@ -103,10 +103,22 @@ def _db_to_linear(db) -> float:
         return math.inf
 
 
+def _per_element(fn):
+    """``fn`` on each element of an array, or on a scalar, with a float
+    result: ``np.frompyfunc`` and one conversion, ~2 µs a call cheaper than
+    ``np.vectorize``."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+
+    def each(x):
+        y = ufunc(x)
+        return y.astype(float) if isinstance(y, np.ndarray) else float(y)
+    return each
+
+
 #: math.log10 and Python's pow per element: an array of gains takes the
 #: arithmetic of a scalar gain, and a scalar keeps its exact dB value.
-_log10 = np.vectorize(math.log10, otypes=[float])
-_from_db = np.vectorize(_db_to_linear, otypes=[float])
+_log10 = _per_element(math.log10)
+_from_db = _per_element(_db_to_linear)
 
 
 def _abs_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .gaussian import (
     GainSpec,
     TwoModeCovariance,
     _item,
+    _per_element,
     _real,
     _require,
     amplify_mode,
@@ -106,7 +107,7 @@ class RegimeReport:
 
 
 #: math.erfc per element; numpy has no erfc ufunc and the package needs numpy alone.
-_erfc = np.vectorize(math.erfc, otypes=[float])
+_erfc = _per_element(math.erfc)
 
 
 def hypothesis_covariances(

@@ -510,8 +510,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize("param,spacing,line", [
         ("n_s", "linear", "error: signal brightness must be finite and >= 0, got nan"),
         ("n_s", "log", "error: signal brightness must be finite and >= 0, got inf"),
-        ("modes", "linear", "error: cannot convert float NaN to integer"),
-        ("modes", "log", "error: cannot convert float infinity to integer")])
+        ("modes", "linear", "error: mode count must be a positive integer, got nan"),
+        ("modes", "log", "error: mode count must be a positive integer, got inf")])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_bound_prints_one_line(self, capsys, param, spacing, line):
         # numpy's grid warnings stay off stderr; the error line is all there is
@@ -712,10 +712,17 @@ def reference_csv(rows: list[dict]) -> str:
 
 
 def emitted_csv(rows: list[dict]) -> str:
+    """What ``_emit`` writes for the table of ``rows``."""
+    table = cli._Table({key: [row[key] for row in rows] for key in rows[0]})
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(rows, argparse.Namespace(format="csv", output=None))
+        cli._emit(table, argparse.Namespace(format="csv", output=None))
     return out.getvalue()
+
+
+def table_rows(table) -> list[dict]:
+    """A command's table as one dict per row."""
+    return [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]
 
 
 LABELS = [regime.value for regime in Regime] + ["NONSEPARABLE", "SEPARABLE"]
@@ -759,7 +766,55 @@ class TestCsv:
         # CSV is written unquoted, so no header or cell may hold a delimiter,
         # a quote or a line break
         args = build_parser().parse_args(argv)
-        rows = args.func(args)
+        rows = table_rows(args.func(args))
         cells = {*rows[0], *(_reference_cell(v) for row in rows for v in row.values())}
         assert not [cell for cell in cells if re.search(r'[,"\r\n]', cell)]
         assert emitted_csv(rows) == reference_csv(rows)
+
+
+#: One call of each command, both figures.
+TABLE_ARGV = [
+    ["report", "--ns", "0.01"],
+    ["sweep", "--ns", "0.1", "--param", "kappa", "--from", "0", "--to", "0.5", "--points", "7"],
+    ["figure", "gain-prefactor", "--points", "5"], ["figure", "snr-ratio", "--points", "4"],
+    ["ppt", "--ns", "1"],
+    ["validate", "--dim", "8"],
+    ["simulate", "--ns", "1", "--trials", "1000"],
+]
+
+
+class TestTables:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", TABLE_ARGV, ids=" ".join)
+    def test_len_is_the_rows_emitted(self, capsys, monkeypatch, argv, fmt):
+        tables = []
+
+        def spy(table, args):
+            tables.append(table)
+            return emit(table, args)
+
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", spy)
+        assert main([*argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        [table] = tables
+        assert len({len(column) for column in table.columns.values()}) == 1
+        if fmt == "csv":
+            emitted = len(out.splitlines()) - 1  # less the header
+        else:
+            payload = json.loads(out)
+            emitted = len(payload) if isinstance(payload, list) else 1
+        assert len(table) == emitted == len(next(iter(table.columns.values())))
+
+    @pytest.mark.parametrize("argv", [*(["sweep", *argv] for argv in PINNED_SWEEPS),
+                                      ["figure", "gain-prefactor"], ["figure", "snr-ratio"]],
+                             ids=" ".join)
+    def test_sweep_and_figure_cells_are_python_floats_and_labels(self, argv):
+        # _emit writes an all-float column by float.__repr__ and a str column as
+        # it is; np.float64 cells give the same bytes through _fmt, only slower
+        args = build_parser().parse_args(argv)
+        columns = args.func(args).columns
+        counts = "modes" in argv
+        expected = {name: {str} if name == "regime" else {int} if name == "value" and counts
+                    else {float} for name in columns}
+        assert {name: set(map(type, column)) for name, column in columns.items()} == expected
