@@ -141,9 +141,8 @@ def _idler_sums(p: ScenarioParams, dim: int) -> np.ndarray:
     and s - 2, 2 (1 - lam^2) lam^(2s-1) sqrt(s) sinh r and
     2 (1 - lam^2) lam^(2s-2) sqrt(s (s - 1)) sinh^2 r.
     """
-    # e^r: no log/exp round trip, as the covariance route's q -> Gq, p -> p/G;
-    # a float32 field is read in float64
-    g, n_s = float(p.gain.linear), float(p.n_s)
+    # e^r: no log/exp round trip, as the covariance route's q -> Gq, p -> p/G
+    g, n_s = p.gain.linear, p.n_s
     cosh, sinh, cosh2 = 0.5 * (g + 1.0 / g), 0.5 * (g - 1.0 / g), 0.5 * (g * g + 1.0 / (g * g))
     s = np.arange(float(dim))
     amp = math.sqrt(n_s / (n_s + 1.0)) ** s / math.sqrt(n_s + 1.0)  # sqrt(w_s)
@@ -182,21 +181,22 @@ def receiver_count_moments(
         raise ValueError(f"truncation dimension must be an integer, got {dim!r}")
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
-    n_b, kappa = float(p.n_b), float(p.kappa)  # a float32 field is read in float64
+    if any(map(np.ndim, (p.n_s, p.n_b, p.kappa, p.gain.linear))):
+        raise TypeError("the oracle takes a scenario of one point, not of arrays")
     box = dim + _PAD_MIX  # the received and the ancilla box; the signal box is dim
     q = np.zeros((3, box, dim))
     if target_present:
-        nbar = n_b / (1.0 - kappa)
+        nbar = p.n_b / (1.0 - p.kappa)
         x = nbar / (nbar + 1.0)
         band = np.count_nonzero(thermal_probabilities(nbar, box))  # an underflowed weight is 0
-        u = _bs_sector_unitary(math.acos(math.sqrt(kappa)), dim + band - 2, box, dim,
+        u = _bs_sector_unitary(math.acos(math.sqrt(p.kappa)), dim + band - 2, box, dim,
                                math.sqrt(x), band)
         v = _sheared(u)
         for d in range(3):
             q[d, d:, d:] = np.einsum("nsr,nsr->rs", v[:, d:, d:], v[:, : dim - d, : box - d])
         q *= 1.0 - x
     else:
-        q[0] = thermal_probabilities(n_b, box)[:, None]
+        q[0] = thermal_probabilities(p.n_b, box)[:, None]
     r = np.arange(float(box))
     row_weights = np.array([np.ones(box), r, (r + 1.0) * (r < box - 1),
                             np.sqrt(r), np.sqrt(r * (r - 1.0))])

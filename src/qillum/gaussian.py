@@ -77,7 +77,7 @@ def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
     or array; a list or tuple is made an array.  With ``lo``, every element
     must be finite and >= ``lo``, or, with ``hi``, lie in [``lo``, ``hi``),
     or [``lo``, ``hi``] if ``closed``; the first one outside is named.  A
-    ``scalar`` field must be one real and is returned as a Python float.
+    ``scalar`` field must be one real.  The result is float64: a Python float if 0-d.
     """
     arr = np.asarray(value, dtype=object) if isinstance(value, (list, tuple)) else value
     if isinstance(arr, (bool, np.bool_)) or isinstance(arr, np.ndarray) and (
@@ -86,28 +86,27 @@ def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
         raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
     if scalar and not isinstance(arr[()] if isinstance(arr, np.ndarray) else arr, numbers.Real):
         raise ValueError(f"{name} must be a real scalar, got {value!r}")
-    value = value if arr is value else np.asarray(value)
+    x = np.asarray(value)
     if lo is not None:
-        x = np.asarray(value)
         below = (x <= _FLOAT_MAX) if hi is None else (x <= hi) if closed else (x < hi)
         message = (f"{name} must be finite and >= {lo}, got {{}}" if hi is None
                    else f"{name} must lie in [{lo}, {hi}{']' if closed else ')'}, got {{}}")
         _require((x >= lo) & below, value, message)
-    return float(value) if scalar else value
-
-
-def _db_to_linear(db) -> float:
-    try:
-        return 10.0 ** (float(db) / 20.0)
-    except OverflowError:
-        return math.inf
+    if x.dtype.kind not in "fiu":  # an object, a str, a complex: Python's float() per element
+        return _floats(x)
+    return x.astype(float, copy=False) if x.ndim else float(x)
 
 
 def _per_element(fn):
-    """``fn`` on each element of an array, or on a scalar, with a float
-    result: ``np.frompyfunc`` and one conversion, ~2 µs a call cheaper than
-    ``np.vectorize``."""
-    ufunc = np.frompyfunc(fn, 1, 1)
+    """``fn`` on each element of an array, or on a scalar, as a float: ``np.frompyfunc``,
+    ~2 µs a call cheaper than ``np.vectorize``.  A result past float64's range is the
+    inf of the input's sign, as float64 holds an int or 10^(dB/20) past it."""
+    def read(x):
+        try:
+            return fn(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    ufunc = np.frompyfunc(read, 1, 1)
 
     def each(x):
         y = ufunc(x)
@@ -118,7 +117,8 @@ def _per_element(fn):
 #: math.log10 and Python's pow per element: an array of gains takes the
 #: arithmetic of a scalar gain, and a scalar keeps its exact dB value.
 _log10 = _per_element(math.log10)
-_from_db = _per_element(_db_to_linear)
+_from_db = _per_element(lambda db: 10.0 ** (db / 20.0))
+_floats = _per_element(float)
 
 
 def _abs_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -191,12 +191,12 @@ class GainSpec:
 
     @property
     def db(self) -> float:
-        return _item(20.0 * _log10(self.linear))
+        return 20.0 * _log10(self.linear)
 
     @classmethod
     @np.errstate(over="ignore")  # a gain past float64's range is refused as inf
     def from_db(cls, gain_db) -> "GainSpec":
-        return cls(_item(_from_db(_real(gain_db, "gain in dB"))))
+        return cls(_from_db(_real(gain_db, "gain in dB")))
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,10 @@ class ScenarioParams:
     ``n_s``: signal brightness per mode; ``n_b``: background brightness;
     ``kappa``: target reflectance; ``gain``: idler amplifier gain;
     ``modes``: number of signal-idler mode pairs integrated by the
-    receiver.  Fields may be arrays (integer for ``modes``) that
-    broadcast together; a list or tuple of reals is made an array, a bool
-    is refused, and validation names the first bad element.
-    """
+    receiver.  Fields may be arrays (integer for ``modes``) that broadcast
+    together; a bool is refused and validation names the first bad element.
+    Every real field, ``gain.linear`` too, is float64: a Python float if 0-d,
+    else an array.  ``modes`` is kept as given."""
 
     n_s: float
     n_b: float
@@ -254,11 +254,10 @@ def classify_regime(p: ScenarioParams) -> RegimeReport:
     """
     qi = snr_qi_closed_form(p)
     csh = snr_csh_closed_form(p)
-    n_s, n_b, kappa = (np.asarray(v, dtype=float) for v in (p.n_s, p.n_b, p.kappa))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.asarray(csh) > 0.0, np.divide(qi, csh), math.nan)
+        ratio = np.where(csh > 0.0, np.divide(qi, csh), math.nan)
         regime = np.select(
-            [n_s < 1.0, (kappa > 0.0) & (n_s > n_b / kappa)],
+            [p.n_s < 1.0, (p.kappa > 0.0) & (p.n_s > np.divide(p.n_b, p.kappa))],
             [Regime.QUANTUM_ADVANTAGE, Regime.DISADVANTAGE],
             Regime.PARITY,
         )

@@ -153,9 +153,20 @@ class TestGainSpec:
         assert type(GainSpec.from_db(15.0).linear) is float
         assert GainSpec.from_db(np.float64(15.0)).linear == GainSpec.from_db(15.0).linear
 
-    @pytest.mark.parametrize("db", [1e4, np.array([3.0, 1e5])], ids=repr)
+    @pytest.mark.parametrize("db", [1e4, np.array([3.0, 1e5]),
+                                    # an int past float64's range reads as inf: a
+                                    # ValueError, not float()'s OverflowError
+                                    pytest.param(10**400, id="1e400")], ids=repr)
     def test_from_db_past_float64_names_inf(self, db):
         with pytest.raises(ValueError, match=r"^gain must be finite and >= 1, got inf$"):
+            GainSpec.from_db(db)
+
+    @pytest.mark.parametrize("db", [-1e400, pytest.param(-(10**400), id="-1e400"),
+                                    pytest.param(np.array([3, -(10**400)], dtype=object),
+                                                 id="object")], ids=repr)
+    def test_from_db_far_below_float64_names_zero(self, db):
+        # the gain underflows to 0.0, whether the dB value is a float or an int
+        with pytest.raises(ValueError, match=r"^gain must be finite and >= 1, got 0\.0$"):
             GainSpec.from_db(db)
 
     @pytest.mark.parametrize("bad", [True, np.True_, np.array([True]), [2.0, True],
@@ -422,3 +433,56 @@ def test_only_the_real_reader_words_a_range_rule():
                         outside.append((path.name, node.lineno, phrase))
     assert outside == []
     assert inside == set(phrases)  # the reader itself states both range forms
+
+
+def test_only_the_real_reader_converts_a_field():
+    # gaussian._real returns every ScenarioParams and GainSpec real in float64;
+    # float(p.n_b), np.asarray(p.kappa, dtype=float) or the like anywhere else
+    # is a second dtype decision.  receiver_stats converts its raw arguments,
+    # which are names, not fields.
+    fields = {"n_s", "n_b", "kappa", "linear"}
+
+    def to_float(node):
+        return getattr(node, "id", None) == "float" or getattr(node, "attr", None) == "float64"
+
+    def converted(call):
+        """The expressions ``call`` converts to float."""
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        if name == "float":
+            return call.args
+        if name in ("asarray", "array", "asanyarray") and any(
+                k.arg == "dtype" and to_float(k.value) for k in call.keywords):
+            return call.args[:1]
+        if name == "astype" and call.args and to_float(call.args[0]):
+            return [call.func.value]
+        if name == "map" and call.args and to_float(call.args[0]):
+            return call.args[1:]
+        return []
+
+    def reads_a_field(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in fields for n in ast.walk(node))
+
+    found = set()
+    for path in sorted(pathlib.Path(gaussian.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # a comprehension over fields, as `f(v) for v in (p.n_s, p.n_b)`, reads
+        # a field through each name its loop binds
+        bound = {}
+        for comp in ast.walk(tree):
+            for gen in getattr(comp, "generators", []):
+                if reads_a_field(gen.iter):
+                    for node in ast.walk(comp):
+                        bound.setdefault(id(node), set()).update(
+                            n.id for n in ast.walk(gen.target) if isinstance(n, ast.Name))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (path.name, fn.name) == ("gaussian.py",
+                                                                                "_real"):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                for arg in converted(call):
+                    names = {n.id for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                    if reads_a_field(arg) or names & bound.get(id(call), set()):
+                        found.add((path.name, fn.name, call.lineno))
+    assert sorted(found) == []

@@ -110,10 +110,12 @@ class TestScenarioParams:
             assert regime.ratio[i] == classify_regime(point).ratio
             assert csh[i] == snr_csh_closed_form(point)
 
-    def test_scalar_fields_are_kept_as_given(self):
-        p = ScenarioParams(n_s=1, n_b=np.float32(0.5), kappa=0.25, gain=GainSpec(2), modes=10)
-        assert (type(p.n_s), type(p.n_b), type(p.kappa), type(p.gain.linear)) == (
-            int, np.float32, float, int)
+    def test_scalar_fields_are_read_as_python_floats(self):
+        p = ScenarioParams(n_s=1, n_b=np.float32(0.1), kappa=np.array(0.25),
+                           gain=GainSpec(np.float16(1.7)), modes=10)
+        assert (p.n_s, p.n_b, p.kappa, p.gain.linear) == (
+            1.0, float(np.float32(0.1)), 0.25, float(np.float16(1.7)))
+        assert {type(p.n_s), type(p.n_b), type(p.kappa), type(p.gain.linear)} == {float}
 
     @pytest.mark.parametrize("modes", [100, np.int64(100), np.uint16(100), np.array(100)],
                              ids=repr)
@@ -337,3 +339,70 @@ class TestRegimeClassification:
 
     def test_hidden_target_ratio_undefined(self):
         assert math.isnan(classify_regime(params(kappa=0.0)).ratio)
+
+
+#: Each kind of real input, per field, as (scalar, value): n_s, n_b and gain
+#: take 10**20, past int64; kappa < 1 holds no such int, so it has no list row.
+REAL_KINDS = {
+    "int": (True, {"n_s": 1, "n_b": 2, "kappa": 0, "gain": 2}),
+    "float32": (True, {f: np.float32(v) for f, v in
+                       (("n_s", 0.1), ("n_b", 0.3), ("kappa", 0.1), ("gain", 1.7))}),
+    "float16": (True, {f: np.float16(v) for f, v in
+                       (("n_s", 0.1), ("n_b", 0.3), ("kappa", 0.1), ("gain", 1.7))}),
+    "0-d": (True, {f: np.array(v) for f, v in
+                   (("n_s", 0.1), ("n_b", 0.3), ("kappa", 0.1), ("gain", 1.7))}),
+    "int8": (False, {f: np.array(v, dtype=np.int8) for f, v in
+                     (("n_s", [0, 3]), ("n_b", [1, 2]), ("kappa", [0, 0]), ("gain", [1, 3]))}),
+    "object": (False, {f: np.array(v, dtype=object) for f, v in
+                       (("n_s", [0.1, 2]), ("n_b", [0.3, 1]), ("kappa", [0.1, 0]),
+                        ("gain", [1.7, 2]))}),
+    "list": (False, {"n_s": [1, 10**20], "n_b": [2, 10**20], "gain": [2, 10**20]}),
+}
+BASE = {"n_s": 0.2, "n_b": 0.5, "kappa": 0.3, "gain": 1.5}
+
+
+def scenario(field, value):
+    fields = {**BASE, field: value}
+    return ScenarioParams(n_s=fields["n_s"], n_b=fields["n_b"], kappa=fields["kappa"],
+                          gain=GainSpec(fields["gain"]), modes=100)
+
+
+def read_in_float64(value):
+    """``value`` as float64 by hand: the reference every reader must equal."""
+    if np.ndim(value) == 0:
+        return float(value)
+    return np.array([float(v) for v in np.ravel(value).tolist()])
+
+
+def assert_same(got, want):
+    """``got`` is exactly ``want``, NaN equal to NaN: both a Python float, or
+    both a float64 array (a quantity that reads no array field is a float)."""
+    if type(want) is float:
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind, field", [(kind, field) for kind, (_, values) in REAL_KINDS.items()
+                                         for field in values])
+class TestEveryReadIsFloat64:
+    def test_the_field_is_float64(self, kind, field):
+        scalar, value = REAL_KINDS[kind][0], REAL_KINDS[kind][1][field]
+        p = scenario(field, value)
+        got = p.gain.linear if field == "gain" else getattr(p, field)
+        want = read_in_float64(value)
+        assert_same(got, want)
+        assert (type(want) is float) is scalar
+
+    def test_closed_forms_equal_their_float64_values(self, kind, field):
+        value = REAL_KINDS[kind][1][field]
+        p, ref = scenario(field, value), scenario(field, read_in_float64(value))
+        for fn in (snr_qi_closed_form, snr_csh_closed_form, lambda q: gain_prefactor(q.gain),
+                   lambda q: q.gain.db, lambda q: classify_regime(q).ratio):
+            assert_same(fn(p), fn(ref))
+        assert np.array_equal(classify_regime(p).regime, classify_regime(ref).regime)
+        report, ref_report = detection_report(p), detection_report(ref)
+        for name in ("threshold", "p_error", "snr_closed_form", "snr_first_principles"):
+            assert_same(getattr(report, name), getattr(ref_report, name))
