@@ -4,13 +4,13 @@ figure-data generation, oracle validation and Monte Carlo runs.
 A call that names a command builds that command's parser alone; top-level
 help, errors and unrecognized arguments build the full one.  Every command
 returns one column table (column name -> equal-length list of Python
-cells), which ``main`` emits once.  All numeric output uses
-shortest-round-trip decimal formatting, so values parse back
-bit-identically.  CSV is written straight from the columns,
-locale-independent, with one header row, deterministic ordering and no
-quoting (no cell holds a comma, quote or line break).  JSON holds one
-object per row; a one-row table is a single object.  Exit codes: 0
-success, 2 argument error, 1 numerical-domain error or an unwritable
+cells), which ``main`` emits once.  Each cell is written by its ``str``
+(a float's is its shortest round-trip decimal, which parses back
+bit-identically), a bool as ``true`` or ``false``.  CSV is written straight
+from the columns, locale-independent, with one header row, deterministic
+ordering and no quoting (no cell holds a comma, quote or line break).  JSON
+holds one object per row; a one-row table is a single object.  Exit codes:
+0 success, 2 argument error, 1 numerical-domain error or an unwritable
 ``--output``.
 """
 
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import fock, gaussian, illumination, montecarlo
-from .gaussian import GainSpec, amplify_mode, min_ppt_symplectic_eigenvalue, tmsv_covariance
+from .gaussian import GainSpec, min_ppt_symplectic_eigenvalue, tmsv_covariance
 
 __all__ = ["build_parser", "main"]
 
@@ -111,25 +111,22 @@ def _params_from_args(args, modes: int) -> illumination.ScenarioParams:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return repr(float(value))
     return str(value)
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        return float(value) if math.isfinite(value) else None
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
 def _csv_cells(column: list):
-    """A column's CSV text: ``str`` cells as they are, an all-float column
-    by ``float.__repr__`` (``_fmt``'s float branch, minus its calls), any
-    other by ``_fmt``."""
+    """A column's CSV text: ``str`` cells as they are, a column holding a
+    bool by ``_fmt``, any other by ``str``."""
     kinds = set(map(type, column))
     if kinds == {str}:
         return column
-    return map(float.__repr__ if kinds == {float} else _fmt, column)
+    return map(_fmt if bool in kinds else str, column)
 
 
 def _emit(table: _Table, args) -> None:
@@ -213,7 +210,8 @@ def _cmd_figure(args) -> _Table:
 def _cmd_ppt(args) -> _Table:
     gain = _gain_from_args(args)
     gaussian._real(args.ns, "--ns", 0, scalar=True)  # named by its flag
-    value = min_ppt_symplectic_eigenvalue(amplify_mode(tmsv_covariance(args.ns), 2, gain))
+    # the idler amplifier is a local symplectic map: it leaves the spectrum as it is
+    value = min_ppt_symplectic_eigenvalue(tmsv_covariance(args.ns))
     return _Table.row({"n_s": args.ns, "gain": gain.linear, "gain_db": gain.db,
                        "min_ppt_symplectic_eigenvalue": value,
                        "verdict": "NONSEPARABLE" if value < 0.5 else "SEPARABLE"})

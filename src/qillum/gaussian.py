@@ -73,26 +73,27 @@ def _item(x):
 def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
     """The one reader of a real input: ``value`` of the field ``name``.
 
-    A bool, which numpy reads as 1.0, is refused, also inside a list, tuple
-    or array; a list or tuple is made an array.  With ``lo``, every element
-    must be finite and >= ``lo``, or, with ``hi``, lie in [``lo``, ``hi``),
-    or [``lo``, ``hi``] if ``closed``; the first one outside is named.  A
-    ``scalar`` field must be one real.  The result is float64: a Python float if 0-d.
+    A bool, which numpy reads as 1.0, and any element that is no
+    ``numbers.Real`` are refused, also inside a list, tuple or array; a list or
+    tuple is made an array.  With ``lo``, every element must be finite and >=
+    ``lo``, or, with ``hi``, lie in [``lo``, ``hi``), or [``lo``, ``hi``] if
+    ``closed``; the first one outside is named.  A ``scalar`` field must be one
+    real.  The result is float64: a Python float if 0-d.
     """
-    arr = np.asarray(value, dtype=object) if isinstance(value, (list, tuple)) else value
-    if isinstance(arr, (bool, np.bool_)) or isinstance(arr, np.ndarray) and (
-            arr.dtype == bool or arr.dtype == object and any(
-                isinstance(v, (bool, np.bool_)) for v in arr.ravel().tolist())):
-        raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
-    if scalar and not isinstance(arr[()] if isinstance(arr, np.ndarray) else arr, numbers.Real):
-        raise ValueError(f"{name} must be a real scalar, got {value!r}")
     x = np.asarray(value)
+    cells = (np.asarray(value, dtype=object).ravel().tolist()  # the elements as given
+             if isinstance(value, (list, tuple)) or x.dtype.kind not in "fiu" else [])
+    if x.dtype.kind == "b" or any(isinstance(v, (bool, np.bool_)) for v in cells):
+        raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
+    if scalar and x.ndim or x.dtype.kind not in "fiuO" or x.dtype.kind == "O" and not all(
+            isinstance(v, numbers.Real) for v in cells):
+        raise ValueError(f"{name} must be a real {'scalar' if scalar else 'number'}, got {value!r}")
     if lo is not None:
         below = (x <= _FLOAT_MAX) if hi is None else (x <= hi) if closed else (x < hi)
         message = (f"{name} must be finite and >= {lo}, got {{}}" if hi is None
                    else f"{name} must lie in [{lo}, {hi}{']' if closed else ')'}, got {{}}")
         _require((x >= lo) & below, value, message)
-    if x.dtype.kind not in "fiu":  # an object, a str, a complex: Python's float() per element
+    if x.dtype.kind == "O":  # Python ints past int64, say: Python's float() per element
         return _floats(x)
     return x.astype(float, copy=False) if x.ndim else float(x)
 

@@ -51,7 +51,7 @@ class ScenarioParams:
     receiver.  Fields may be arrays (integer for ``modes``) that broadcast
     together; a bool is refused and validation names the first bad element.
     Every real field, ``gain.linear`` too, is float64: a Python float if 0-d,
-    else an array.  ``modes`` is kept as given."""
+    else an array; ``modes`` is a Python int if 0-d, else a float64 array."""
 
     n_s: float
     n_b: float
@@ -68,10 +68,11 @@ class ScenarioParams:
                     for m in modes.ravel().tolist()]
         _require(np.reshape(modes_ok, modes.shape), modes,
                  "mode count must be a positive integer, got {}")
+        object.__setattr__(self, "modes", modes.astype(float) if modes.ndim else int(modes))
 
     @property
     def clt_reliable(self) -> bool:
-        return _item(np.asarray(self.modes) >= CLT_MODE_THRESHOLD)
+        return self.modes >= CLT_MODE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -201,9 +202,8 @@ def detection_report(p: ScenarioParams) -> DetectionReport:
     if not np.all(np.isfinite(sd1)):
         raise ValueError("count statistics overflow float64 at this brightness")
     delta = mu1 - mu0
-    modes = np.asarray(p.modes, dtype=float)
-    threshold = modes * (mu0 * sd1 + mu1 * sd0) / (sd0 + sd1)
-    p_error = 0.5 * _erfc(np.sqrt(modes / 2.0) * delta / (sd0 + sd1))
+    threshold = p.modes * (mu0 * sd1 + mu1 * sd0) / (sd0 + sd1)
+    p_error = 0.5 * _erfc(np.sqrt(p.modes / 2.0) * delta / (sd0 + sd1))
     return DetectionReport(
         threshold=_item(threshold),
         p_error=_item(p_error),

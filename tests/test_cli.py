@@ -285,10 +285,16 @@ class TestPpt:
         assert payload["min_ppt_symplectic_eigenvalue"] == pytest.approx(0.0857864, abs=1e-6)
         assert payload["verdict"] == "NONSEPARABLE"
 
-    def test_vacuum_probe_is_separable(self, capsys):
-        code, out, _ = run_cli(capsys, "ppt", "--ns", "0", "--gain", "1")
+    @pytest.mark.parametrize("gain", [[], ["--gain", "1"],
+                                      *(["--gain-db", str(db)] for db in range(31))],
+                             ids=lambda gain: " ".join(gain) or "default")
+    def test_vacuum_probe_is_separable(self, capsys, gain):
+        # the vacuum is a product state at every gain: its value is exactly 1/2
+        code, out, _ = run_cli(capsys, "ppt", "--ns", "0", *gain)
         assert code == 0
-        assert json.loads(out)["verdict"] == "SEPARABLE"
+        payload = json.loads(out)
+        assert payload["min_ppt_symplectic_eigenvalue"] == 0.5
+        assert payload["verdict"] == "SEPARABLE"
 
 
 class TestBrightInputs:
@@ -720,6 +726,23 @@ def emitted_csv(rows: list[dict]) -> str:
     return out.getvalue()
 
 
+def reference_json(rows: list[dict]) -> str:
+    """``json.dumps`` of the rows' cells, each float a Python float and a
+    non-finite one None; a one-row table is a single object."""
+    objects = [{key: (float(v) if math.isfinite(v) else None) if isinstance(v, float) else v
+                for key, v in row.items()} for row in rows]
+    return json.dumps(objects[0] if len(objects) == 1 else objects, indent=2) + "\n"
+
+
+def emitted_json(rows: list[dict]) -> str:
+    """What ``_emit`` writes for the table of ``rows`` with ``--format json``."""
+    table = cli._Table({key: [row[key] for row in rows] for key in rows[0]})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(table, argparse.Namespace(format="json", output=None))
+    return out.getvalue()
+
+
 def table_rows(table) -> list[dict]:
     """A command's table as one dict per row."""
     return [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]
@@ -772,6 +795,13 @@ class TestCsv:
         assert emitted_csv(rows) == reference_csv(rows)
 
 
+class TestJson:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=tables())
+    def test_by_column_equals_the_json_dumps_route(self, rows):
+        assert emitted_json(rows) == reference_json(rows)
+
+
 #: One call of each command, both figures.
 TABLE_ARGV = [
     ["report", "--ns", "0.01"],
@@ -810,8 +840,9 @@ class TestTables:
                                       ["figure", "gain-prefactor"], ["figure", "snr-ratio"]],
                              ids=" ".join)
     def test_sweep_and_figure_cells_are_python_floats_and_labels(self, argv):
-        # _emit writes an all-float column by float.__repr__ and a str column as
-        # it is; np.float64 cells give the same bytes through _fmt, only slower
+        # each column is typed where it is made (.tolist()); _emit writes every
+        # cell by its str, which gives an np.float64 the same bytes, so only this
+        # test would see a column of numpy scalars
         args = build_parser().parse_args(argv)
         columns = args.func(args).columns
         counts = "modes" in argv

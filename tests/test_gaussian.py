@@ -1,4 +1,5 @@
 import ast
+import decimal
 import math
 import pathlib
 
@@ -176,6 +177,19 @@ class TestGainSpec:
             GainSpec(bad)
         with pytest.raises(ValueError, match=r"^gain in dB must be a real number, not a bool"):
             GainSpec.from_db(bad)
+
+    @pytest.mark.parametrize("bad", ["2", ["3"], 2j, None, np.datetime64("2020"),
+                                     decimal.Decimal("2"), np.array([2.0, None], dtype=object)],
+                             ids=repr)
+    def test_refuses_a_non_real(self, bad):
+        # from_db read "3" as 3 dB through Python's float(); GainSpec("2") raised
+        # numpy's UFuncTypeError
+        with pytest.raises(ValueError) as excinfo:
+            GainSpec(bad)
+        assert str(excinfo.value) == f"gain must be a real number, got {bad!r}"
+        with pytest.raises(ValueError) as excinfo:
+            GainSpec.from_db(bad)
+        assert str(excinfo.value) == f"gain in dB must be a real number, got {bad!r}"
 
     def test_a_list_of_gains_becomes_an_array(self):
         gain = GainSpec([1.0, 2.0])
@@ -485,4 +499,37 @@ def test_only_the_real_reader_converts_a_field():
                     names = {n.id for n in ast.walk(arg) if isinstance(n, ast.Name)}
                     if reads_a_field(arg) or names & bound.get(id(call), set()):
                         found.add((path.name, fn.name, call.lineno))
+    assert sorted(found) == []
+
+
+def test_only_scenario_params_converts_modes():
+    # ScenarioParams.__post_init__ stores modes as a Python int or a float64
+    # array; np.asarray(p.modes), int(self.modes) or the like anywhere else is
+    # a second type decision
+    def converted(call):
+        """The expressions ``call`` converts to a number or an array."""
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        if name in ("asarray", "array", "asanyarray", "float", "int"):
+            return call.args[:1]
+        if name == "astype":
+            return [call.func.value]
+        if name == "map" and call.args and getattr(call.args[0], "id", None) in ("float", "int"):
+            return call.args[1:]
+        return []
+
+    found = set()
+    for path in sorted(pathlib.Path(gaussian.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef)
+                      for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for name, fn in functions:
+            if (path.name, name) == ("illumination.py", "ScenarioParams.__post_init__"):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and any(
+                        isinstance(n, ast.Attribute) and n.attr == "modes"
+                        for arg in converted(call) for n in ast.walk(arg)):
+                    found.add((path.name, name, call.lineno))
     assert sorted(found) == []

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -97,6 +98,19 @@ class TestScenarioParams:
             params(**{field: bad})
         assert str(excinfo.value) == f"{name} must be a real number, not a bool, got {bad!r}"
 
+    @pytest.mark.parametrize("field,name", [("ns", "signal brightness"),
+                                            ("nb", "background brightness"),
+                                            ("kappa", "reflectance")])
+    @pytest.mark.parametrize("bad", ["0.5", 0.5j, None, np.datetime64("2020"),
+                                     decimal.Decimal("0.5"), np.array([0.5 + 0j]), [0.5, "0.5"],
+                                     np.array([0.5, None], dtype=object)], ids=repr)
+    def test_refuses_non_reals_by_name(self, field, name, bad):
+        # a str or a datetime once raised numpy's UFuncTypeError, and a complex or
+        # None float()'s TypeError
+        with pytest.raises(ValueError) as excinfo:
+            params(**{field: bad})
+        assert str(excinfo.value) == f"{name} must be a real number, got {bad!r}"
+
     @pytest.mark.parametrize("field", ["ns", "nb", "kappa"])
     @pytest.mark.parametrize("kind", [list, tuple])
     def test_a_sequence_field_is_evaluated_as_an_array(self, field, kind):
@@ -122,10 +136,16 @@ class TestScenarioParams:
     def test_accepts_python_and_numpy_integer_mode_counts(self, modes):
         assert params(modes=modes).clt_reliable
 
-    @pytest.mark.parametrize("modes", [[3, np.int64(4)], np.array([3, 4]), [2**70], np.uint8(3)],
-                             ids=repr)
-    def test_accepts_integer_mode_counts_in_lists_arrays_and_numpy_scalars(self, modes):
-        assert params(modes=modes).modes is modes
+    @pytest.mark.parametrize("modes", [100, np.int64(100), np.uint8(3), np.array(100), 2**70,
+                                       [3, np.int64(4)], np.array([3, 4]), [2**70]], ids=repr)
+    def test_mode_counts_are_stored_as_a_python_int_or_a_float64_array(self, modes):
+        # one count is a Python int, several a float64 array, whatever the input
+        stored = params(modes=modes).modes
+        if np.ndim(modes):
+            assert type(stored) is np.ndarray and stored.dtype == np.float64
+            assert stored.tolist() == [float(m) for m in modes]
+        else:
+            assert type(stored) is int and stored == modes
 
     def test_boundary_values_allowed(self):
         params(ns=0.0)  # vacuum probe
