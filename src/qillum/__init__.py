@@ -1,10 +1,12 @@
 """qillum: entangled-probe target detection with a parametrically amplified idler.
 
-A small numpy library covering the full detection chain: two-mode
+A small library covering the full detection chain: two-mode
 Gaussian state algebra, phase-sensitive idler amplification, the noisy
 return channel, balanced-splitter photon counting, error probabilities
 against the coherent-state homodyne benchmark, a truncated number-basis
-oracle, and seeded Monte Carlo validation.
+oracle, and seeded Monte Carlo validation.  numpy is imported where an
+array or a 4x4 matrix is first met, so a single-point report runs on
+``math`` alone.
 """
 
 from .fock import receiver_count_moments

@@ -23,8 +23,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import fock, gaussian, illumination, montecarlo
 from .gaussian import GainSpec, min_ppt_symplectic_eigenvalue, tmsv_covariance
 
@@ -169,6 +167,7 @@ def _cmd_report(args) -> _Table:
 def _sweep_rows(base: illumination.ScenarioParams, name: str, values: np.ndarray) -> _Table:
     """The sweep table for ``name`` over ``values``: one array-valued
     scenario, validated up front and evaluated in one call per quantity."""
+    import numpy as np
     if name == "modes":  # a non-finite point is left for ScenarioParams to refuse
         values = np.array([max(1, round(v)) if math.isfinite(v) else v
                            for v in values.tolist()], dtype=object)
@@ -187,6 +186,7 @@ def _cmd_sweep(args) -> _Table:
     log = args.spacing == "log"
     if log and (args.start <= 0 or args.stop <= 0):
         raise _ArgumentError("log spacing requires positive bounds")
+    import numpy as np
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite point is refused below
         values = (np.geomspace if log else np.linspace)(args.start, args.stop, args.points)
     return _sweep_rows(_params_from_args(args, args.modes), args.param, values)
@@ -195,6 +195,7 @@ def _cmd_sweep(args) -> _Table:
 def _cmd_figure(args) -> _Table:
     if args.points < 1:
         raise _ArgumentError(f"figure needs at least 1 point, got {args.points}")
+    import numpy as np
     if args.which == "gain-prefactor":
         grid = np.linspace(0.0, 30.0, args.points)
         prefactor = illumination.gain_prefactor(GainSpec.from_db(grid))

@@ -43,9 +43,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
 from .gaussian import _real
 from .illumination import CountStats, ScenarioParams
 
@@ -61,6 +58,7 @@ _PAD_MIX = 20
 
 def thermal_probabilities(nbar: float, dim: int) -> np.ndarray:
     """Number distribution of a thermal state, truncated at ``dim``."""
+    import numpy as np
     nbar = _real(nbar, "thermal brightness", 0, scalar=True)
     ratio = nbar / (nbar + 1.0)
     return (1.0 - ratio) * ratio ** np.arange(dim)
@@ -94,6 +92,7 @@ def _bs_sector_unitary(
     a sector's band is one run and each column is contiguous in r; it is
     returned as an [N, r, k]-indexed view.
     """
+    import numpy as np
     u = np.zeros((n_top + 1, cols, rows))
     u[0, 0, 0] = 1.0
     # over[N - 1, j] = sqrt(j) / N, so over[N - 1, N::-1] is sqrt(N - j) / N;
@@ -126,6 +125,7 @@ def _sheared(u: np.ndarray) -> np.ndarray:
     """Read-only sheared view v[n, s, r] = u[n + s, r, s] of an [N, r, k]-indexed
     stack: signal number s, and every ancilla number n whose sector n + s is in
     the stack for each s, so the view never reaches past the stack."""
+    from numpy.lib.stride_tricks import as_strided
     sectors, rows, cols = u.shape
     step, row, col = u.strides
     return as_strided(u, (sectors - cols + 1, cols, rows), (step, step + col, row), writeable=False)
@@ -141,6 +141,7 @@ def _idler_sums(p: ScenarioParams, dim: int) -> np.ndarray:
     and s - 2, 2 (1 - lam^2) lam^(2s-1) sqrt(s) sinh r and
     2 (1 - lam^2) lam^(2s-2) sqrt(s (s - 1)) sinh^2 r.
     """
+    import numpy as np
     # e^r: no log/exp round trip, as the covariance route's q -> Gq, p -> p/G
     g, n_s = p.gain.linear, p.n_s
     cosh, sinh, cosh2 = 0.5 * (g + 1.0 / g), 0.5 * (g - 1.0 / g), 0.5 * (g * g + 1.0 / (g * g))
@@ -177,6 +178,7 @@ def receiver_count_moments(
     received mode is the thermal ancilla, independent of the idler:
     q_0[r, s] = p_r and q_1 = q_2 = 0, so the mean is 0.
     """
+    import numpy as np
     if not (type(dim) is int or isinstance(dim, np.integer)):  # a bool or a float is no count
         raise ValueError(f"truncation dimension must be an integer, got {dim!r}")
     if dim < 2:

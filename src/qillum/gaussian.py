@@ -9,11 +9,12 @@ mode, mode 2 the retained idler.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
 
 __all__ = [
     "SYMPLECTIC_FORM", "PHYSICALITY_TOL", "TwoModeCovariance", "GainSpec", "CrossCorrelations",
@@ -22,16 +23,6 @@ __all__ = [
     "random_two_mode_symplectic",
 ]
 
-#: Standard symplectic form for the (q1, p1, q2, p2) ordering.
-SYMPLECTIC_FORM = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
 #: Symplectic eigenvalues may undershoot 1/2 by this much before a state
 #: is rejected; congruences accumulate roundoff of order 1e-13.
 PHYSICALITY_TOL = 1e-9
@@ -39,35 +30,97 @@ PHYSICALITY_TOL = 1e-9
 _SYMMETRY_ATOL = 1e-12
 _PAIR_RTOL = 1e-9
 
-# 50-50 beam splitter acting on the quadratures, and the partial-transpose
-# mirror (sign flip of the mode-2 momentum).
-_BALANCED_BS = np.array(
-    [
-        [1.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 1.0],
-        [1.0, 0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0, -1.0],
-    ]
-) / math.sqrt(2.0)
+#: ``x <= _FLOAT_MAX`` is False for nan, inf and for ints past float64's
+#: range, on which ``isfinite`` raises.
+_FLOAT_MAX = sys.float_info.max
 
-_PT_MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 
-#: ``np.asarray(x) <= _FLOAT_MAX`` is False for nan, inf and for ints past
-#: float64's range, on which ``isfinite`` raises.
-_FLOAT_MAX = np.finfo(float).max
+@cache
+def _symplectic_form():
+    """Standard symplectic form for the (q1, p1, q2, p2) ordering, read-only."""
+    import numpy as np
+    form = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0, 0.0],
+        ]
+    )
+    form.flags.writeable = False
+    return form
+
+
+def __getattr__(name):
+    # SYMPLECTIC_FORM is built on first use, so importing this module imports no numpy
+    if name == "SYMPLECTIC_FORM":
+        return _symplectic_form()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Scalar:
+    """The numpy calls of the closed forms, on Python floats: one kernel text
+    takes them from here for a scalar and from numpy for an array (:func:`_ops`).
+    ``math.sqrt`` is correctly rounded, as ``np.sqrt`` is, and float arithmetic
+    gives numpy's bits and warns of nothing, but a division by zero raises: the
+    kernel never divides by a value that can be zero."""
+
+    sqrt = staticmethod(math.sqrt)
+    isfinite = staticmethod(math.isfinite)
+    any = all = staticmethod(bool)
+
+    @staticmethod
+    def asarray(value, dtype=None):
+        return value
+
+    @staticmethod
+    def zeros_like(value):
+        return 0.0
+
+    @staticmethod
+    def where(condition, yes, no):
+        return yes if condition else no
+
+    @staticmethod
+    def select(conditions, choices, default):
+        return next((c for ok, c in zip(conditions, choices) if ok), default)
+
+    @staticmethod
+    def broadcast_arrays(*values):
+        return list(values)
+
+    @staticmethod
+    def errstate(**_):
+        return contextlib.nullcontext()
+
+
+def _ops(*operands):
+    """Where a closed form takes its numpy calls: :class:`_Scalar` when every
+    operand is a Python float, else numpy, imported here on the first array."""
+    for x in operands:
+        if type(x) is not float:
+            import numpy as np
+            return np
+    return _Scalar
 
 
 def _require(ok, value, message: str) -> None:
     """Raise ``message`` naming the first element of ``value`` where ``ok`` fails."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        raise ValueError(message.format(np.ravel(value).tolist()[np.argmin(ok)]
-                                        if ok.ndim else value))
+    if ok is True:
+        return
+    if ok is not False:  # an array of checks
+        import numpy as np
+        ok = np.asarray(ok)
+        if ok.all():
+            return
+        if ok.ndim:
+            value = np.ravel(value).tolist()[np.argmin(ok)]
+    raise ValueError(message.format(value))
 
 
 def _item(x):
-    """A 0-d result as a Python scalar; arrays pass through."""
-    return np.asarray(x).item() if np.ndim(x) == 0 else x
+    """A 0-d numpy result as a Python scalar; arrays and Python values pass through."""
+    return x.item() if getattr(x, "ndim", None) == 0 else x
 
 
 def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
@@ -78,8 +131,18 @@ def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
     tuple is made an array.  With ``lo``, every element must be finite and >=
     ``lo``, or, with ``hi``, lie in [``lo``, ``hi``), or [``lo``, ``hi``] if
     ``closed``; the first one outside is named.  A ``scalar`` field must be one
-    real.  The result is float64: a Python float if 0-d.
+    real.  The result is float64: a Python float if 0-d.  A Python float or int
+    is read with plain comparisons; anything else, a numpy scalar too, by numpy.
     """
+    if lo is not None:
+        message = (f"{name} must be finite and >= {lo}, got {{}}" if hi is None
+                   else f"{name} must lie in [{lo}, {hi}{']' if closed else ')'}, got {{}}")
+    if type(value) is float or type(value) is int:
+        if lo is not None:
+            below = value <= _FLOAT_MAX if hi is None else value <= hi if closed else value < hi
+            _require(value >= lo and below, value, message)
+        return value if type(value) is float else _floats(value)
+    import numpy as np
     x = np.asarray(value)
     cells = (np.asarray(value, dtype=object).ravel().tolist()  # the elements as given
              if isinstance(value, (list, tuple)) or x.dtype.kind not in "fiu" else [])
@@ -89,9 +152,8 @@ def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
             isinstance(v, numbers.Real) for v in cells):
         raise ValueError(f"{name} must be a real {'scalar' if scalar else 'number'}, got {value!r}")
     if lo is not None:
-        below = (x <= _FLOAT_MAX) if hi is None else (x <= hi) if closed else (x < hi)
-        message = (f"{name} must be finite and >= {lo}, got {{}}" if hi is None
-                   else f"{name} must lie in [{lo}, {hi}{']' if closed else ')'}, got {{}}")
+        # a float64 bound: numpy casts a Python float to a float32 array's dtype, to inf
+        below = (x <= np.float64(_FLOAT_MAX)) if hi is None else (x <= hi) if closed else (x < hi)
         _require((x >= lo) & below, value, message)
     if x.dtype.kind == "O":  # Python ints past int64, say: Python's float() per element
         return _floats(x)
@@ -99,17 +161,25 @@ def _real(value, name: str, lo=None, hi=None, closed=False, scalar=False):
 
 
 def _per_element(fn):
-    """``fn`` on each element of an array, or on a scalar, as a float: ``np.frompyfunc``,
-    ~2 µs a call cheaper than ``np.vectorize``.  A result past float64's range is the
-    inf of the input's sign, as float64 holds an int or 10^(dB/20) past it."""
+    """``fn`` on each element of an array, or on a scalar, as a float: a Python
+    float or int goes straight to ``fn``; anything else takes ``np.frompyfunc``,
+    ~2 µs a call cheaper than ``np.vectorize``, built on the first such call.  A
+    result past float64's range is the inf of the input's sign, as float64 holds
+    an int or 10^(dB/20) past it."""
     def read(x):
         try:
             return fn(x)
         except OverflowError:
             return math.inf if x > 0 else -math.inf
-    ufunc = np.frompyfunc(read, 1, 1)
+    ufunc = None
 
     def each(x):
+        nonlocal ufunc
+        if type(x) is float or type(x) is int:
+            return float(read(x))
+        import numpy as np
+        if ufunc is None:
+            ufunc = np.frompyfunc(read, 1, 1)
         y = ufunc(x)
         return y.astype(float) if isinstance(y, np.ndarray) else float(y)
     return each
@@ -124,7 +194,8 @@ _floats = _per_element(float)
 
 def _abs_symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
     """All four |eigenvalues| of i*Omega*V, ascending."""
-    eigs = np.linalg.eigvals(1j * SYMPLECTIC_FORM @ matrix)
+    import numpy as np
+    eigs = np.linalg.eigvals(1j * _symplectic_form() @ matrix)
     return np.sort(np.abs(eigs))
 
 
@@ -135,6 +206,7 @@ def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     doubled pairs; the pairs are averaged after checking that they agree
     to 1e-9 relative.
     """
+    import numpy as np
     spectrum = _abs_symplectic_spectrum(np.asarray(matrix, dtype=float))
     lo, hi = spectrum[:2], spectrum[2:]
     for pair in (lo, hi):
@@ -161,6 +233,7 @@ class TwoModeCovariance:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {m.shape}")
@@ -195,9 +268,10 @@ class GainSpec:
         return 20.0 * _log10(self.linear)
 
     @classmethod
-    @np.errstate(over="ignore")  # a gain past float64's range is refused as inf
     def from_db(cls, gain_db) -> "GainSpec":
-        return cls(_from_db(_real(gain_db, "gain in dB")))
+        gain_db = _real(gain_db, "gain in dB")
+        with _ops(gain_db).errstate(over="ignore"):  # a gain past float64's range is refused as inf
+            return cls(_from_db(gain_db))
 
 
 @dataclass(frozen=True)
@@ -215,6 +289,7 @@ def tmsv_covariance(n_s: float) -> TwoModeCovariance:
     The diagonal is nu/2 with nu = 2*n_s + 1; the q-q (p-p) cross entry is
     +c/2 (-c/2) with c = 2*sqrt(n_s*(n_s + 1)).  ``n_s = 0`` is the vacuum.
     """
+    import numpy as np
     n_s = _real(n_s, "mean photon number", 0, scalar=True)
     nu = 2.0 * n_s + 1.0
     c = 2.0 * math.sqrt(n_s * (n_s + 1.0))
@@ -238,6 +313,7 @@ def amplify_mode(
     state: TwoModeCovariance, mode_index: int, gain: GainSpec
 ) -> TwoModeCovariance:
     """Phase-sensitive amplification of one mode: q -> G*q, p -> p/G."""
+    import numpy as np
     if not (type(mode_index) is int or isinstance(mode_index, np.integer)) or (
             mode_index not in (1, 2)):  # a bool or a float is no index
         raise ValueError(f"mode_index must be 1 or 2, got {mode_index}")
@@ -258,6 +334,7 @@ def apply_target_channel(
     under both hypotheses and the target leaves no passive signature.
     Callers always pass the observed background ``n_b``.
     """
+    import numpy as np
     kappa = _real(kappa, "reflectance", 0, 1, closed=True, scalar=True)
     n_b = _real(n_b, "background brightness", 0, scalar=True)
     omega = 2.0 * n_b + 1.0
@@ -280,7 +357,16 @@ def apply_target_channel(
 
 def balanced_beam_splitter(state: TwoModeCovariance) -> TwoModeCovariance:
     """Combine the two modes on a 50-50 beam splitter."""
-    return _congruence(state, _BALANCED_BS)
+    import numpy as np
+    splitter = np.array(
+        [
+            [1.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0],
+            [1.0, 0.0, -1.0, 0.0],
+            [0.0, 1.0, 0.0, -1.0],
+        ]
+    ) / math.sqrt(2.0)
+    return _congruence(state, splitter)
 
 
 def cross_correlations(state: TwoModeCovariance) -> CrossCorrelations:
@@ -298,7 +384,9 @@ def min_ppt_symplectic_eigenvalue(state: TwoModeCovariance) -> float:
     eigenvalue of i*Omega*(L V L) returned; a value below 1/2 certifies
     that the state is non-separable.
     """
-    mirrored = _PT_MIRROR @ state.matrix @ _PT_MIRROR
+    import numpy as np
+    mirror = np.diag([1.0, 1.0, 1.0, -1.0])  # the sign flip of the mode-2 momentum
+    mirrored = mirror @ state.matrix @ mirror
     return float(_abs_symplectic_spectrum(mirrored)[0])
 
 
@@ -311,6 +399,7 @@ def random_two_mode_symplectic(
     thermal covariances. ``max_squeeze`` bounds the squeezing parameters
     so conditioning stays benign.
     """
+    import numpy as np
     r = rng.uniform(-max_squeeze, max_squeeze, size=2)
     squeeze = np.diag([math.exp(r[0]), math.exp(-r[0]), math.exp(r[1]), math.exp(-r[1])])
     return _random_passive(rng) @ squeeze @ _random_passive(rng)
@@ -318,6 +407,7 @@ def random_two_mode_symplectic(
 
 def _random_passive(rng: np.random.Generator) -> np.ndarray:
     """Random passive (orthogonal symplectic) transform from a Haar U(2)."""
+    import numpy as np
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))

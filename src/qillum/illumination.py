@@ -6,7 +6,9 @@ balanced-splitter receiver, and produces decision thresholds, error
 probabilities, closed-form signal-to-noise ratios and the coherent-state
 homodyne benchmark.  Count statistics come from the closed form
 :func:`receiver_stats`; the covariance route is the derivation it is
-checked against.  Everything broadcasts, so array fields make a sweep.
+checked against.  Everything broadcasts, so array fields make a sweep; one
+text serves both, with ``math`` for Python floats and numpy for arrays, so a
+single point imports no numpy.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .gaussian import (
     GainSpec,
     TwoModeCovariance,
     _item,
+    _ops,
     _per_element,
     _real,
     _require,
@@ -63,11 +64,15 @@ class ScenarioParams:
         for name, what in (("n_s", "signal brightness"), ("n_b", "background brightness")):
             object.__setattr__(self, name, _real(getattr(self, name), what, 0))
         object.__setattr__(self, "kappa", _real(self.kappa, "reflectance", 0, 1))
-        modes = np.asarray(self.modes, dtype=object)  # elements as given: a bool is no count
+        modes, message = self.modes, "mode count must be a positive integer, got {}"
+        if type(modes) is int:  # one count, as the CLI gives it
+            _require(modes >= 1, modes, message)
+            return
+        import numpy as np
+        modes = np.asarray(modes, dtype=object)  # elements as given: a bool is no count
         modes_ok = [(type(m) is int or isinstance(m, np.integer)) and m >= 1
                     for m in modes.ravel().tolist()]
-        _require(np.reshape(modes_ok, modes.shape), modes,
-                 "mode count must be a positive integer, got {}")
+        _require(np.reshape(modes_ok, modes.shape), modes, message)
         object.__setattr__(self, "modes", modes.astype(float) if modes.ndim else int(modes))
 
     @property
@@ -107,7 +112,7 @@ class RegimeReport:
     ratio: float
 
 
-#: math.erfc per element; numpy has no erfc ufunc and the package needs numpy alone.
+#: math.erfc per element: numpy has no erfc ufunc, and the package needs no scipy.
 _erfc = _per_element(math.erfc)
 
 
@@ -150,7 +155,6 @@ def count_difference_stats(state: TwoModeCovariance) -> CountStats:
     return CountStats(mean=float(n1 - n2), variance=float(max(variance, 0.0)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # detection_report rejects inf/nan
 def receiver_stats(n_s, n_b, kappa, gain):
     """Per-mode-pair (mu0, var0, mu1, var1) of N+ - N- under (H0, H1), for
     linear gain G, broadcast over arrays: the closed form of the float64
@@ -159,19 +163,22 @@ def receiver_stats(n_s, n_b, kappa, gain):
     observable (N+ - N- = a1^dag a2 + a2^dag a1 on its inputs).  n2 and n1
     are the idler and received (H1) photon numbers.  Every sum adds
     non-negative terms and G - 1/G is formed by :func:`_g_minus`, so nothing
-    cancels anywhere in the parameter range.
+    cancels anywhere in the parameter range.  Python floats give Python floats,
+    by the same arithmetic.
     """
-    n_s, n_b, kappa, g = (np.asarray(v, dtype=float) for v in (n_s, n_b, kappa, gain))
-    nu = 2.0 * n_s + 1.0
-    c = 2.0 * np.sqrt(n_s * (n_s + 1.0))
-    g_minus = _g_minus(g)
-    n2 = (nu * np.square(g_minus) + 4.0 * n_s) / 4.0
-    n1 = kappa * n_s + n_b
-    picc = np.sqrt(kappa) * c * g_minus / 4.0
-    pscc = np.sqrt(kappa) * c * (g + 1.0 / g) / 4.0
-    var0 = 2.0 * n_b * n2 + n_b + n2
-    var1 = 2.0 * np.square(picc) + 2.0 * np.square(pscc) + 2.0 * n1 * n2 + n1 + n2
-    return np.broadcast_arrays(np.zeros_like(var0), var0, 2.0 * picc, var1)
+    xp = _ops(n_s, n_b, kappa, gain)
+    n_s, n_b, kappa, g = (xp.asarray(v, dtype=float) for v in (n_s, n_b, kappa, gain))
+    with xp.errstate(over="ignore", invalid="ignore"):  # detection_report rejects inf/nan
+        nu = 2.0 * n_s + 1.0
+        c = 2.0 * xp.sqrt(n_s * (n_s + 1.0))
+        g_minus = _g_minus(g)
+        n2 = (nu * (g_minus * g_minus) + 4.0 * n_s) / 4.0
+        n1 = kappa * n_s + n_b
+        picc = xp.sqrt(kappa) * c * g_minus / 4.0
+        pscc = xp.sqrt(kappa) * c * (g + 1.0 / g) / 4.0
+        var0 = 2.0 * n_b * n2 + n_b + n2
+        var1 = 2.0 * (picc * picc) + 2.0 * (pscc * pscc) + 2.0 * n1 * n2 + n1 + n2
+    return xp.broadcast_arrays(xp.zeros_like(var0), var0, 2.0 * picc, var1)
 
 
 def per_mode_count_stats(p: ScenarioParams) -> tuple[CountStats, CountStats]:
@@ -196,19 +203,21 @@ def detection_report(p: ScenarioParams) -> DetectionReport:
     conventions differ by that factor of 2 and both are reported.
     """
     mu0, var0, mu1, var1 = receiver_stats(p.n_s, p.n_b, p.kappa, p.gain.linear)
-    sd0, sd1 = np.sqrt(var0), np.sqrt(var1)
-    if np.any(sd0 + sd1 == 0.0):
+    xp = _ops(var1, p.modes / 2.0)
+    sd0, sd1 = xp.sqrt(var0), xp.sqrt(var1)
+    spread = sd0 + sd1
+    if xp.any(spread == 0.0):
         raise ValueError("both hypotheses are noiseless; threshold undefined")
-    if not np.all(np.isfinite(sd1)):
+    if not xp.all(xp.isfinite(sd1)):
         raise ValueError("count statistics overflow float64 at this brightness")
     delta = mu1 - mu0
-    threshold = p.modes * (mu0 * sd1 + mu1 * sd0) / (sd0 + sd1)
-    p_error = 0.5 * _erfc(np.sqrt(p.modes / 2.0) * delta / (sd0 + sd1))
+    threshold = p.modes * (mu0 * sd1 + mu1 * sd0) / spread
+    p_error = 0.5 * _erfc(xp.sqrt(p.modes / 2.0) * delta / spread)
     return DetectionReport(
         threshold=_item(threshold),
         p_error=_item(p_error),
         snr_closed_form=snr_qi_closed_form(p),
-        snr_first_principles=_item(np.square(delta) / (2.0 * np.square(sd0 + sd1))),
+        snr_first_principles=_item(delta * delta / (2.0 * (spread * spread))),
     )
 
 
@@ -228,16 +237,17 @@ def gain_prefactor(gain: GainSpec) -> float:
     return x / (x + 2.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def snr_qi_closed_form(p: ScenarioParams) -> float:
     """Single-mode-pair SNR of the amplified-idler receiver (closed form)."""
-    nu = 2.0 * p.n_s + 1.0
-    c = 2.0 * np.sqrt(p.n_s * (p.n_s + 1.0))
-    omega = 2.0 * p.n_b + 1.0
-    gamma = 2.0 * p.kappa * p.n_s + omega
-    kc2 = p.kappa * np.square(c)
-    denom = np.square(np.sqrt(gamma * nu + kc2) + np.sqrt(nu * omega))
-    return _item(gain_prefactor(p.gain) * kc2 / denom)
+    xp = _ops(p.n_s, p.n_b, p.kappa, p.gain.linear)
+    with xp.errstate(over="ignore", invalid="ignore"):
+        nu = 2.0 * p.n_s + 1.0
+        c = 2.0 * xp.sqrt(p.n_s * (p.n_s + 1.0))
+        omega = 2.0 * p.n_b + 1.0
+        gamma = 2.0 * p.kappa * p.n_s + omega
+        kc2 = p.kappa * (c * c)
+        root = xp.sqrt(gamma * nu + kc2) + xp.sqrt(nu * omega)  # >= 1: nu, omega >= 1
+        return _item(gain_prefactor(p.gain) * kc2 / (root * root))
 
 
 def snr_csh_closed_form(p: ScenarioParams) -> float:
@@ -254,11 +264,19 @@ def classify_regime(p: ScenarioParams) -> RegimeReport:
     """
     qi = snr_qi_closed_form(p)
     csh = snr_csh_closed_form(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(csh > 0.0, np.divide(qi, csh), math.nan)
-        regime = np.select(
-            [p.n_s < 1.0, (p.kappa > 0.0) & (p.n_s > np.divide(p.n_b, p.kappa))],
-            [Regime.QUANTUM_ADVANTAGE, Regime.DISADVANTAGE],
-            Regime.PARITY,
-        )
-    return RegimeReport(regime=_item(regime), ratio=_item(ratio))
+    xp = _ops(qi, csh)  # qi is a float only if every field it reads is
+    regime = xp.select(
+        [p.n_s < 1.0, p.n_s > _quotient(p.n_b, p.kappa, xp)],
+        [Regime.QUANTUM_ADVANTAGE, Regime.DISADVANTAGE],
+        Regime.PARITY,
+    )
+    return RegimeReport(regime=_item(regime), ratio=_item(_quotient(qi, csh, xp)))
+
+
+def _quotient(a, b, xp):
+    """a / b where b > 0, else nan; no division by zero is made, which a float
+    would raise on.  At kappa = 0 the ratio is nan and n_s > n_b/kappa is false.
+    A quotient past float64's range is inf, on an array as on a float."""
+    positive = b > 0.0
+    with xp.errstate(over="ignore"):
+        return xp.where(positive, a / xp.where(positive, b, 1.0), math.nan)

@@ -17,8 +17,6 @@ import os
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .illumination import ScenarioParams, detection_report, per_mode_count_stats
 
 __all__ = ["TrialConfig", "ErrorProbabilityEstimate", "estimate_error_probability"]
@@ -64,6 +62,7 @@ class ErrorProbabilityEstimate:
 def _shard_errors(seed: int, stream: int, shard: int, take: int, threshold: float,
                   loc: float, scale: float, declare_above: bool) -> int:
     """Errors among the ``take`` draws of one shard, keyed (seed, 2*shard + stream)."""
+    import numpy as np
     key = np.array([seed, 2 * shard + stream], dtype=np.uint64)
     above = np.random.Generator(np.random.Philox(key=key)).normal(loc, scale, take) > threshold
     return int(np.count_nonzero(above if declare_above else ~above))

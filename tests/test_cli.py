@@ -343,11 +343,32 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_loads_no_pool_module(self):
-        # the Monte Carlo starts its threads with threading, which numpy loads
-        # anyway; either pool module would add its import to every command
+        # the Monte Carlo starts its threads with threading, a small stdlib
+        # module; either pool module would add its import to every command
         proc = _fresh_interpreter(
             "-c", "import qillum.cli, sys; "
             "assert {'concurrent.futures', 'multiprocessing'}.isdisjoint(sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv, code, stderr", [
+        (None, 0, ""),  # the import alone
+        (["report", "--ns", "0.01"], 0, ""),
+        (["report", "--ns", "0.01", "--format", "csv"], 0, ""),
+        (["report", "--ns", "-1"], 1, "error: signal brightness must be finite and >= 0, got -1.0\n"),
+    ], ids=["import", "report", "report csv", "refused report"])
+    def test_a_report_leaves_numpy_out(self, argv, code, stderr):
+        # a scalar report takes the closed forms on Python floats, through math
+        proc = _fresh_interpreter(
+            "-c", "import sys, qillum, qillum.cli\n"
+            f"code = 0 if {argv!r} is None else qillum.cli.main({argv!r})\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\nsys.exit(code)")
+        assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
+
+    def test_a_sweep_imports_numpy(self):
+        proc = _fresh_interpreter(
+            "-c", "import sys; from qillum.cli import main; "
+            "assert main(['sweep', '--ns', '0.1', '--param', 'n_b', '--from', '1', '--to', '2', "
+            "'--points', '3']) == 0; assert 'numpy' in sys.modules")
         assert proc.returncode == 0, proc.stderr
 
     def test_validate_leaves_scipy_out(self):
@@ -376,8 +397,18 @@ class TestImportPath:
 
 
 class TestEntryPoint:
-    @pytest.mark.parametrize("argv", [["report", "--ns", "0.01"], ["--help"],
-                                      ["report", "--ns", "1", "--bogus"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [
+        ["report", "--ns", "0.01"], ["--help"], ["report", "--ns", "1", "--bogus"],
+        # one call per command, each in an interpreter of its own: in process,
+        # numpy is long imported, so a command path that forgot its own import
+        # of numpy, or leans on another command's, passes the golden replay
+        ["report", "--ns", "1e200"],
+        ["sweep", "--ns", "0.01", "--param", "n_s", "--from", "1e-3", "--to", "1e3",
+         "--points", "12", "--spacing", "log"],
+        ["figure", "gain-prefactor", "--points", "16"], ["figure", "snr-ratio", "--points", "11"],
+        ["ppt", "--ns", "1", "--gain-db", "12"], ["validate", "--dim", "8"],
+        ["simulate", "--ns", "0.1", "--trials", "20000", "--format", "csv"],
+    ], ids=" ".join)
     def test_python_m_qillum_matches_its_golden_record(self, argv):
         # main(None) reads sys.argv itself; no in-process call takes that path
         case = next(case for case in GOLDEN_CALLS if case["argv"] == argv)

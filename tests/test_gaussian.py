@@ -20,6 +20,7 @@ from qillum.gaussian import (
     symplectic_eigenvalues,
     tmsv_covariance,
 )
+from qillum.illumination import ScenarioParams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,6 +93,15 @@ class TestTmsvCovariance:
         # a bool is no photon number: True once gave a diagonal of 1.5
         with pytest.raises(ValueError, match=r"^mean photon number must be a real"):
             tmsv_covariance(bad)
+
+
+def test_symplectic_form_is_one_read_only_float64_array():
+    # served on first use by the module's __getattr__, so the import needs no numpy
+    assert SYMPLECTIC_FORM.dtype == np.float64 and not SYMPLECTIC_FORM.flags.writeable
+    assert SYMPLECTIC_FORM.tolist() == [[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                                        [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]
+    assert gaussian.SYMPLECTIC_FORM is SYMPLECTIC_FORM
+    assert not hasattr(gaussian, "SYMPLECTIC_FORMS")
 
 
 class TestValidation:
@@ -533,3 +543,49 @@ def test_only_scenario_params_converts_modes():
                         for arg in converted(call) for n in ast.walk(arg)):
                     found.add((path.name, name, call.lineno))
     assert sorted(found) == []
+
+
+#: The readers of a real whose refusals are pinned above and in test_illumination.
+READERS = {
+    "_real": lambda v: gaussian._real(v, "gain", 1),
+    "n_s": lambda v: ScenarioParams(n_s=v, n_b=1.0, kappa=0.1, gain=GainSpec(2.0), modes=10),
+    "kappa": lambda v: ScenarioParams(n_s=1.0, n_b=1.0, kappa=v, gain=GainSpec(2.0), modes=10),
+    "modes": lambda v: ScenarioParams(n_s=1.0, n_b=1.0, kappa=0.1, gain=GainSpec(2.0), modes=v),
+    "gain": GainSpec,
+    "gain_db": GainSpec.from_db,
+}
+
+
+def _outcome(read, value) -> str:
+    """What ``read`` makes of ``value``: the repr of its result, or its message."""
+    try:
+        return repr(read(value))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _numpy_twins(x) -> list:
+    """``x`` as a numpy scalar of its kind, where one holds it, and as a 0-d array."""
+    if isinstance(x, float):
+        return [np.float64(x), np.array(x)]
+    fits = -(2**63) <= x < 2**63
+    return [np.int64(x), np.array(x)] if fits else [np.array(x, dtype=object)]
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 15.0,
+                               0, 1, -1, 100, 2**70, 10**400, -(10**400)], ids=repr)
+def test_a_python_scalar_reads_as_its_numpy_twin(reader, x):
+    # a Python float or int takes _real's scalar path; numpy scalars and 0-d
+    # arrays take numpy's: the same value or the same refusal, word for word
+    read = READERS[reader]
+    assert {_outcome(read, twin) for twin in _numpy_twins(x)} == {_outcome(read, x)}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("bad", [True, False, "0.5", 0.5j, None], ids=repr)
+def test_a_bool_or_non_real_is_refused_as_its_0d_array(reader, bad):
+    # neither has a float64 twin; the messages differ by the repr of the input alone
+    read, twin = READERS[reader], np.array(bad)
+    assert _outcome(read, bad).startswith("ValueError: ")
+    assert _outcome(read, bad) == _outcome(read, twin).replace(repr(twin), repr(bad))

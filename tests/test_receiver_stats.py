@@ -6,9 +6,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qillum.cli import _evaluate
 from qillum.gaussian import GainSpec
 from qillum.illumination import (
     ScenarioParams,
@@ -210,3 +211,38 @@ def test_array_validation_names_the_first_bad_element():
                        modes=np.array([2.5, 0.0]))
     with pytest.raises(ValueError, match=r"gain must be finite and >= 1, got nan$"):
         GainSpec(np.array([1.0, math.nan]))
+
+
+def _cells(p):
+    """``cli._evaluate``'s cells of ``p`` as one-element lists, or the error it raises."""
+    try:
+        cells = _evaluate(p)
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return {name: np.broadcast_to(np.array(value, dtype=object), (1,)).tolist()
+            for name, value in cells.items()}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    ns=st.floats(1e-3, 1e9),
+    nb=st.floats(1e-2, 1e4),
+    kappa=st.floats(0.0, 0.999, exclude_max=True),
+    gain_db=st.floats(0.0, 30.0),
+    modes=st.integers(1, 10**8),
+)
+# where a Python float divides by zero and numpy gives inf or nan
+@example(ns=0.1, nb=1.0, kappa=0.0, gain_db=15.0, modes=100)
+@example(ns=0.0, nb=1.0, kappa=0.1, gain_db=15.0, modes=100)
+@example(ns=0.1, nb=0.0, kappa=0.1, gain_db=15.0, modes=100)
+@example(ns=0.1, nb=1.0, kappa=0.1, gain_db=0.0, modes=100)
+@example(ns=0.0, nb=0.0, kappa=0.0, gain_db=0.0, modes=1)
+def test_python_floats_take_the_array_arithmetic(ns, nb, kappa, gain_db, modes):
+    # one kernel text: math on Python floats, numpy on arrays, the same bits
+    g = GainSpec.from_db(gain_db).linear
+    scalar = ScenarioParams(n_s=ns, n_b=nb, kappa=kappa, gain=GainSpec(g), modes=modes)
+    assert {type(v) for v in (scalar.n_s, scalar.n_b, scalar.kappa, scalar.gain.linear)} == {
+        float}
+    array = ScenarioParams(n_s=np.array([ns]), n_b=np.array([nb]), kappa=np.array([kappa]),
+                           gain=GainSpec(np.array([g])), modes=np.array([modes]))
+    assert repr(_cells(scalar)) == repr(_cells(array))
