@@ -1,8 +1,9 @@
 """Command-line front end: single-point reports, parameter sweeps,
 figure-data generation, oracle validation and Monte Carlo runs.
 
-A call that names a command builds that command's parser alone; top-level
-help, errors and unrecognized arguments build the full one.  Every command
+A call that names a command parses with that command's parser alone, built
+once per process (parsing only reads it); top-level help, errors and
+unrecognized arguments build the full one on every call.  Every command
 returns one column table (column name -> equal-length list of Python
 cells), which ``main`` emits once.  Each cell is written by its ``str``
 (a float's is its shortest round-trip decimal, which parses back
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -133,8 +135,7 @@ def _emit(table: _Table, args) -> None:
           else contextlib.nullcontext(sys.stdout)) as out:
         if args.format == "json":
             rows = [dict(zip(columns, map(_jsonable, row))) for row in zip(*columns.values())]
-            json.dump(rows[0] if len(rows) == 1 else rows, out, indent=2)
-            out.write("\n")
+            out.write(json.dumps(rows[0] if len(rows) == 1 else rows, indent=2) + "\n")
         else:
             lines = zip(*map(_csv_cells, columns.values()))
             out.write("".join(",".join(line) + "\r\n" for line in [columns, *lines]))
@@ -295,6 +296,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """``command``'s parser, built once per process: parsing only reads it."""
+    return build_parser(command)
+
+
 def main(argv=None) -> int:
     """Run one command; emit its table.  Exit codes: 2 for an argument error
     argparse cannot see; 1 for any other ``ValueError``, an ``OverflowError``,
@@ -303,7 +310,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = extra = None
     if argv and argv[0] in _COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
     if args is None or extra:  # top-level help and errors, worded by the full parser
         args = build_parser().parse_args(argv)
     try:

@@ -59,8 +59,9 @@ def __getattr__(name):
 
 
 class _Scalar:
-    """The numpy calls of the closed forms, on Python floats: one kernel text
-    takes them from here for a scalar and from numpy for an array (:func:`_ops`).
+    """The numpy calls of the closed forms, on Python floats (``asarray`` makes
+    an int one): one kernel text takes them from here for a scalar and from
+    numpy for an array (:func:`_ops`).
     ``math.sqrt`` is correctly rounded, as ``np.sqrt`` is, and float arithmetic
     gives numpy's bits and warns of nothing, but a division by zero raises: the
     kernel never divides by a value that can be zero."""
@@ -71,7 +72,7 @@ class _Scalar:
 
     @staticmethod
     def asarray(value, dtype=None):
-        return value
+        return float(value)
 
     @staticmethod
     def zeros_like(value):
@@ -96,9 +97,10 @@ class _Scalar:
 
 def _ops(*operands):
     """Where a closed form takes its numpy calls: :class:`_Scalar` when every
-    operand is a Python float, else numpy, imported here on the first array."""
+    operand is a Python float or int (never a bool), else numpy, imported
+    here on the first array."""
     for x in operands:
-        if type(x) is not float:
+        if type(x) is not float and type(x) is not int:
             import numpy as np
             return np
     return _Scalar

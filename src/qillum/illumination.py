@@ -163,8 +163,8 @@ def receiver_stats(n_s, n_b, kappa, gain):
     observable (N+ - N- = a1^dag a2 + a2^dag a1 on its inputs).  n2 and n1
     are the idler and received (H1) photon numbers.  Every sum adds
     non-negative terms and G - 1/G is formed by :func:`_g_minus`, so nothing
-    cancels anywhere in the parameter range.  Python floats give Python floats,
-    by the same arithmetic.
+    cancels anywhere in the parameter range.  Python floats and ints give
+    Python floats, by the same arithmetic.
     """
     xp = _ops(n_s, n_b, kappa, gain)
     n_s, n_b, kappa, g = (xp.asarray(v, dtype=float) for v in (n_s, n_b, kappa, gain))

@@ -605,6 +605,28 @@ def _command_flags(parser: argparse.ArgumentParser) -> dict:
 FULL_PARSER_PROGS = ["qillum", *(f"qillum {command}" for command in REQUIRED_ARGV)]
 
 
+@pytest.fixture
+def cold_parsers():
+    """A process that has built no command's parser yet, before and after."""
+    cli._command_parser.cache_clear()
+    yield
+    cli._command_parser.cache_clear()
+
+
+@pytest.fixture
+def built_progs(monkeypatch):
+    """The ``prog`` of every ``ArgumentParser`` constructed, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    return built
+
+
 class TestFlags:
     @pytest.mark.parametrize("command", REQUIRED_ARGV)
     def test_help_states_the_defaults_parse_args_gives(self, capsys, command):
@@ -668,20 +690,38 @@ class TestFlags:
         (["report", "--ns", "1", "--bogus"], ["qillum report", *FULL_PARSER_PROGS]),
     ], ids=["report", "no-argv", "help", "unknown-command", "unrecognized-argument"])
     def test_main_builds_the_full_parser_only_for_top_level_errors_and_help(
-            self, monkeypatch, capsys, argv, progs):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def spy(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            built.append(self.prog)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+            self, cold_parsers, built_progs, capsys, argv, progs):
         with contextlib.suppress(SystemExit):
             main(argv)
-        assert built == progs
+        assert built_progs == progs
 
-    def test_main_builds_the_invoked_commands_flags_from_sys_argv(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv,progs", [
+        (["report", "--ns", "0.01"], []),
+        ([], FULL_PARSER_PROGS),
+        (["--help"], FULL_PARSER_PROGS),
+        (["frobnicate"], FULL_PARSER_PROGS),
+        (["report", "--ns", "1", "--bogus"], FULL_PARSER_PROGS),
+        (["report", "--help"], []),
+        (["report"], []),  # --ns missing: the command's parser words the error
+    ], ids=["report", "no-argv", "help", "unknown-command", "unrecognized-argument",
+            "command-help", "command-error"])
+    def test_a_second_call_builds_only_the_full_parser_it_needs(
+            self, cold_parsers, built_progs, capsys, argv, progs):
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        first = capsys.readouterr()
+        built_progs.clear()
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert built_progs == progs
+        assert capsys.readouterr() == first
+
+    @pytest.mark.parametrize("command", [None, *REQUIRED_ARGV])
+    def test_build_parser_returns_a_fresh_parser_each_call(self, command):
+        assert build_parser(command) is not build_parser(command)
+
+    def test_main_builds_the_invoked_commands_flags_from_sys_argv(
+            self, cold_parsers, monkeypatch, capsys):
         built = []
 
         def spy(*command):
@@ -691,9 +731,10 @@ class TestFlags:
         monkeypatch.setattr(cli, "build_parser", spy)
         monkeypatch.setattr(sys, "argv", ["qillum", "report", "--ns", "1"])
         assert main() == 0
+        assert built == [("report",)]
         from_sys_argv = capsys.readouterr()
         assert run_cli(capsys, "report", "--ns", "1") == (0, *from_sys_argv)
-        assert built == [("report",), ("report",)]
+        assert built == [("report",)]  # the second call reuses the first one's parser
 
     def test_validate_takes_no_modes(self, capsys):
         # the oracle compares one mode pair; a mode count would change nothing

@@ -21,9 +21,9 @@ from qillum.cli import main
 GOLDEN = json.loads(record_golden.GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN["calls"], ids=lambda case: " ".join(case["argv"]))
-def test_output_is_byte_identical(case, capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("COLUMNS", "80")
+def _replay(case, capsys, tmp_path):
+    """Run ``case``'s call in a fresh ``tmp_path``; assert its recorded bytes."""
+    tmp_path.mkdir(exist_ok=True)
     try:
         code = main([arg.replace("{tmp}", str(tmp_path)) for arg in case["argv"]])
     except SystemExit as exc:
@@ -32,6 +32,32 @@ def test_output_is_byte_identical(case, capsys, monkeypatch, tmp_path):
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
     written = {path.name: path.read_bytes().decode() for path in tmp_path.iterdir()}
     assert written == case["files"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["calls"], ids=lambda case: " ".join(case["argv"]))
+def test_output_is_byte_identical(case, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    _replay(case, capsys, tmp_path)
+
+
+def test_calls_in_one_process_carry_nothing_to_the_next(capsys, monkeypatch, tmp_path):
+    # main reuses each command's parser: every call, after any other, prints its recording
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = GOLDEN["calls"]
+    for i, case in enumerate([*calls, *reversed(calls)]):
+        _replay(case, capsys, tmp_path / str(i))
+
+
+_REPORTS = [case for case in GOLDEN["calls"] if case["argv"][:1] == ["report"]]
+
+
+@pytest.mark.parametrize("error", [case for case in _REPORTS if case["code"] == 2],
+                         ids=lambda case: " ".join(case["argv"]))
+def test_a_good_report_after_an_argument_error_prints_its_recording(
+        error, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    _replay(error, capsys, tmp_path / "error")
+    _replay(next(case for case in _REPORTS if case["code"] == 0), capsys, tmp_path / "good")
 
 
 # a call that writes through --output and one that argparse exits on

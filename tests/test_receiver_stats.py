@@ -246,3 +246,22 @@ def test_python_floats_take_the_array_arithmetic(ns, nb, kappa, gain_db, modes):
     array = ScenarioParams(n_s=np.array([ns]), n_b=np.array([nb]), kappa=np.array([kappa]),
                            gain=GainSpec(np.array([g])), modes=np.array([modes]))
     assert repr(_cells(scalar)) == repr(_cells(array))
+
+
+@pytest.mark.parametrize("ints", [(1, 1, 0.1, 2), (0, 100, 0.001, 1), (3, 2.5, 0.5, 4)],
+                         ids=repr)
+def test_python_ints_give_the_python_floats_of_their_float_values(ints):
+    got = receiver_stats(*ints)
+    want = receiver_stats(*map(float, ints))
+    assert [type(v) for v in got] == [type(v) for v in want] == [float] * 4
+    assert got == want
+
+
+def test_an_int_past_float64_overflows_as_on_the_array_route():
+    for ns in (10**400, np.array([10**400], dtype=object)):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            receiver_stats(ns, 1, 0.1, 2)
+
+
+def test_a_bool_still_takes_the_array_route():
+    assert all(isinstance(v, np.ndarray) for v in receiver_stats(True, 1.0, 0.1, 2.0))
