@@ -298,7 +298,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 @functools.cache
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """``command``'s parser, built once per process: parsing only reads it."""
+    """``command``'s parser, built once per process: parsing only reads it.
+    Only a second ``main`` call in one process reuses it (a loop calling
+    ``main``, as a benchmark or test does); the ``qillum`` script calls once."""
     return build_parser(command)
 
 
