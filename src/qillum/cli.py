@@ -150,12 +150,12 @@ def _echo(p: illumination.ScenarioParams) -> dict:
 def _evaluate(p: illumination.ScenarioParams) -> dict:
     """Threshold, error probability, SNRs, SNR ratio and regime of ``p``;
     each is an array when ``p`` is array-valued."""
-    report, regime = illumination.detection_report(p), illumination.classify_regime(p)
+    report, csh = illumination.detection_report(p), illumination.snr_csh_closed_form(p)
+    regime = illumination._regime(p, report.snr_closed_form, csh)  # each SNR computed once
     return {"threshold": report.threshold, "p_error": report.p_error,
             "snr_closed_form": report.snr_closed_form,
             "snr_first_principles": report.snr_first_principles,
-            "snr_csh": illumination.snr_csh_closed_form(p),
-            "ratio": regime.ratio, "regime": regime.regime}
+            "snr_csh": csh, "ratio": regime.ratio, "regime": regime.regime}
 
 
 def _cmd_report(args) -> _Table:

@@ -20,7 +20,6 @@ from enum import Enum
 from .gaussian import (
     GainSpec,
     TwoModeCovariance,
-    _item,
     _ops,
     _per_element,
     _real,
@@ -183,7 +182,7 @@ def receiver_stats(n_s, n_b, kappa, gain):
 
 def per_mode_count_stats(p: ScenarioParams) -> tuple[CountStats, CountStats]:
     """Receiver count-difference statistics under (H0, H1), per mode pair."""
-    mu0, var0, mu1, var1 = map(_item, receiver_stats(p.n_s, p.n_b, p.kappa, p.gain.linear))
+    mu0, var0, mu1, var1 = receiver_stats(p.n_s, p.n_b, p.kappa, p.gain.linear)
     return CountStats(mean=mu0, variance=var0), CountStats(mean=mu1, variance=var1)
 
 
@@ -201,23 +200,21 @@ def detection_report(p: ScenarioParams) -> DetectionReport:
     equals (mu1 - mu0)^2 / (sigma0 + sigma1)^2 once the operator-ordering
     corrections (-1/2) are dropped from both variances; the two
     conventions differ by that factor of 2 and both are reported.
-    """
+    Each sqrt comes from :func:`_ops` of its operand: a result is a Python
+    float unless it reads an array field."""
     mu0, var0, mu1, var1 = receiver_stats(p.n_s, p.n_b, p.kappa, p.gain.linear)
-    xp = _ops(var1, p.modes / 2.0)
+    xp = _ops(var1)
     sd0, sd1 = xp.sqrt(var0), xp.sqrt(var1)
     spread = sd0 + sd1
-    if xp.any(spread == 0.0):
-        raise ValueError("both hypotheses are noiseless; threshold undefined")
-    if not xp.all(xp.isfinite(sd1)):
-        raise ValueError("count statistics overflow float64 at this brightness")
+    _require(spread != 0.0, spread, "both hypotheses are noiseless; threshold undefined")
+    _require(sd1 < math.inf, sd1, "count statistics overflow float64 at this brightness")
     delta = mu1 - mu0
-    threshold = p.modes * (mu0 * sd1 + mu1 * sd0) / spread
-    p_error = 0.5 * _erfc(xp.sqrt(p.modes / 2.0) * delta / spread)
+    half_modes = p.modes / 2.0
     return DetectionReport(
-        threshold=_item(threshold),
-        p_error=_item(p_error),
+        threshold=p.modes * (mu0 * sd1 + mu1 * sd0) / spread,
+        p_error=0.5 * _erfc(_ops(half_modes).sqrt(half_modes) * delta / spread),
         snr_closed_form=snr_qi_closed_form(p),
-        snr_first_principles=_item(delta * delta / (2.0 * (spread * spread))),
+        snr_first_principles=delta * delta / (2.0 * (spread * spread)),
     )
 
 
@@ -247,7 +244,7 @@ def snr_qi_closed_form(p: ScenarioParams) -> float:
         gamma = 2.0 * p.kappa * p.n_s + omega
         kc2 = p.kappa * (c * c)
         root = xp.sqrt(gamma * nu + kc2) + xp.sqrt(nu * omega)  # >= 1: nu, omega >= 1
-        return _item(gain_prefactor(p.gain) * kc2 / (root * root))
+        return gain_prefactor(p.gain) * kc2 / (root * root)
 
 
 def snr_csh_closed_form(p: ScenarioParams) -> float:
@@ -262,15 +259,16 @@ def classify_regime(p: ScenarioParams) -> RegimeReport:
     the label is advisory while the ratio is ground truth.  At kappa = 0
     both SNRs vanish and the ratio is NaN.
     """
-    qi = snr_qi_closed_form(p)
-    csh = snr_csh_closed_form(p)
-    xp = _ops(qi, csh)  # qi is a float only if every field it reads is
-    regime = xp.select(
-        [p.n_s < 1.0, p.n_s > _quotient(p.n_b, p.kappa, xp)],
-        [Regime.QUANTUM_ADVANTAGE, Regime.DISADVANTAGE],
-        Regime.PARITY,
-    )
-    return RegimeReport(regime=_item(regime), ratio=_item(_quotient(qi, csh, xp)))
+    return _regime(p, snr_qi_closed_form(p), snr_csh_closed_form(p))
+
+
+def _regime(p: ScenarioParams, qi, csh) -> RegimeReport:
+    """:func:`classify_regime` of ``p`` from its SNRs; the label reads n_s, n_b
+    and kappa alone, so it is a :class:`Regime` when they are Python floats."""
+    xp = _ops(p.n_s, p.n_b, p.kappa)
+    regime = xp.where(p.n_s < 1.0, Regime.QUANTUM_ADVANTAGE, xp.where(
+        p.n_s > _quotient(p.n_b, p.kappa, xp), Regime.DISADVANTAGE, Regime.PARITY))
+    return RegimeReport(regime=regime, ratio=_quotient(qi, csh, _ops(qi, csh)))
 
 
 def _quotient(a, b, xp):

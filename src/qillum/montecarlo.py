@@ -71,30 +71,34 @@ def _shard_errors(seed: int, stream: int, shard: int, take: int, threshold: floa
 def _count_errors(seed: int, trials: int, threshold: float, streams: list) -> list[int]:
     """Errors among ``trials`` draws from each stream ``(loc, scale, declare_above)``.
 
-    Shards are handed out under a lock to the caller and one more thread per
-    further usable CPU (numpy draws without the GIL).  A failed shard stops
-    the rest; its exception is raised here once every thread has ended."""
+    Flat (stream, shard) indices are handed out under a lock to the caller and
+    one more thread per further usable CPU (numpy draws without the GIL); each
+    thread adds in its counts when done.  A failed shard stops the rest; its
+    exception is raised here once every thread has ended."""
     shards = -(-trials // SHARD_SIZE)
-    jobs = [(seed, s, k, min(SHARD_SIZE, trials - k * SHARD_SIZE), threshold, *stream)
-            for s, stream in enumerate(streams) for k in range(shards)]
-    errors = [0] * len(jobs)
-    pending, lock, failures = iter(range(len(jobs))), threading.Lock(), []
+    errors = [0] * len(streams)
+    pending, lock, failures = iter(range(len(streams) * shards)), threading.Lock(), []
 
     def work():
+        counts = [0] * len(streams)
         try:
             while True:
                 with lock:
                     i = None if failures else next(pending, None)
                 if i is None:
-                    return
-                errors[i] = _shard_errors(*jobs[i])
+                    break
+                s, k = divmod(i, shards)
+                counts[s] += _shard_errors(seed, s, k, min(SHARD_SIZE, trials - k * SHARD_SIZE),
+                                           threshold, *streams[s])
         except BaseException as exc:
             failures.append(exc)
+        with lock:
+            errors[:] = map(sum, zip(errors, counts))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = []
     try:
-        for _ in range(min(cpus or 1, len(jobs)) - 1):
+        for _ in range(min(cpus or 1, len(streams) * shards) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
@@ -104,7 +108,7 @@ def _count_errors(seed: int, trials: int, threshold: float, streams: list) -> li
             thread.join()
     if failures:
         raise failures[0]
-    return [sum(errors[s * shards:(s + 1) * shards]) for s in range(len(streams))]
+    return errors
 
 
 def estimate_error_probability(cfg: TrialConfig) -> ErrorProbabilityEstimate:

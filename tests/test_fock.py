@@ -515,6 +515,14 @@ class TestOracleState:
         with pytest.raises(ValueError, match=r"^truncation dimension must be an integer, got "):
             receiver_count_moments(params(0.1, 0.5, 0.1, 2.0), dim, present)
 
+    @pytest.mark.parametrize("field", ["ns", "nb", "kappa", "g"])
+    @pytest.mark.parametrize("present", [False, True])
+    def test_validation_refuses_an_array_valued_scenario(self, field, present):
+        fields = {"ns": 0.1, "nb": 0.5, "kappa": 0.1, "g": 2.0}
+        p = params(**{**fields, field: np.array([fields[field]] * 2)})
+        with pytest.raises(TypeError, match=r"^the oracle takes a scenario of one point, not "):
+            receiver_count_moments(p, 6, present)
+
     def test_validation_takes_a_numpy_integer_dim(self):
         p = params(0.1, 0.5, 0.1, 2.0)
         assert receiver_count_moments(p, np.int64(6), True) == receiver_count_moments(p, 6, True)

@@ -459,6 +459,24 @@ def test_only_the_real_reader_words_a_range_rule():
     assert inside == set(phrases)  # the reader itself states both range forms
 
 
+def test_the_scalar_backend_holds_exactly_the_calls_the_kernel_makes():
+    # the closed forms read their numpy calls off `xp` or an `_ops(...)` call;
+    # gaussian._Scalar serves them for Python floats, so a call it lacks would
+    # raise AttributeError on a user's first scalar point, and a member no call
+    # reads is dead
+    calls = set()
+    for name in ("gaussian.py", "illumination.py"):
+        path = pathlib.Path(gaussian.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                    getattr(node.value, "id", None) == "xp" or isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "_ops"):
+                calls.add(node.attr)
+    members = {name for name in vars(gaussian._Scalar) if not name.startswith("_")}
+    assert calls == members == {"sqrt", "asarray", "zeros_like", "where", "broadcast_arrays",
+                                "errstate"}
+
+
 def test_only_the_real_reader_converts_a_field():
     # gaussian._real returns every ScenarioParams and GainSpec real in float64;
     # float(p.n_b), np.asarray(p.kappa, dtype=float) or the like anywhere else

@@ -361,6 +361,32 @@ class TestRegimeClassification:
         assert math.isnan(classify_regime(params(kappa=0.0)).ratio)
 
 
+#: Each scenario's array field, and the types of per_mode_count_stats' four
+#: moments, detection_report's four fields, classify_regime's label and ratio,
+#: and snr_qi_closed_form: "f" a Python float, "a" a float64 array, "R" a
+#: Regime.  A result holds an array only if it reads the array field.
+RESULT_TYPES = {
+    "int modes": ({}, "ffff", "ffff", "Rf", "f"),
+    "array modes": ({"modes": np.array([10, 1000])}, "ffff", "aaff", "Rf", "f"),
+    "array gain": ({"g": np.array([1.5, 2.0])}, "aaaa", "aaaa", "Ra", "a"),
+    "array n_s": ({"ns": np.array([0.01, 2.0])}, "aaaa", "aaaa", "aa", "a"),
+}
+
+
+@pytest.mark.parametrize("case", list(RESULT_TYPES))
+def test_each_result_is_a_python_float_unless_it_reads_an_array(case):
+    fields, stats, report, regime, snr = RESULT_TYPES[case]
+    p = params(**{"ns": 0.01, "nb": 20.0, "kappa": 0.01, "modes": 1000, **fields})
+    kind = {float: "f", np.ndarray: "a", Regime: "R"}
+    s0, s1 = per_mode_count_stats(p)
+    r, c = detection_report(p), classify_regime(p)
+    assert "".join(kind[type(v)] for v in (s0.mean, s0.variance, s1.mean, s1.variance)) == stats
+    assert "".join(kind[type(v)] for v in (r.threshold, r.p_error, r.snr_closed_form,
+                                            r.snr_first_principles)) == report
+    assert kind[type(c.regime)] + kind[type(c.ratio)] == regime
+    assert kind[type(snr_qi_closed_form(p))] == snr
+
+
 #: Each kind of real input, per field, as (scalar, value): n_s, n_b and gain
 #: take 10**20, past int64; kappa < 1 holds no such int, so it has no list row.
 REAL_KINDS = {

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,22 @@ class TestShardRunner:
         assert (montecarlo._count_errors(5, trials, self.THRESHOLD, streams)
                 == self.serial(5, trials, streams))
         assert len(runs) == started
+
+    def test_memory_does_not_grow_with_the_shard_count(self, monkeypatch):
+        # the runner keeps a count per stream and thread, nothing per shard, so
+        # 100,000 one-trial shards (3.3e9 trials a stream at full size) fit in well
+        # under 1 MB.  One CPU, as tracemalloc slows every thread's lock handoff
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 1)
+        monkeypatch.setattr(montecarlo, "_shard_errors", lambda *args: 0)
+        tracemalloc.start()
+        try:
+            counts = montecarlo._count_errors(3, 50_000, self.THRESHOLD, self.streams(True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [0, 0]
+        assert peak < 1 << 20
 
     def test_leaves_no_thread_behind(self, four_cpus):
         before = threading.active_count()
